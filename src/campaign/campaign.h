@@ -91,9 +91,10 @@ struct CellRecord {
 struct CellContext {
   std::uint64_t seed = 0;
   snapshot::SnapshotOptions snap;
-  /// Sharded-engine threads per cell (ScenarioSpec::withThreads); 0 keeps
-  /// the single-threaded engine. Orthogonal to the runner's --jobs and
-  /// invisible in the records: results are byte-identical either way.
+  /// Cycle-engine shards per cell (ScenarioSpec::withThreads); 0 or 1 is
+  /// one shard on the cell's worker thread. Orthogonal to the runner's
+  /// --jobs and invisible in the records: results are byte-identical
+  /// either way.
   int shardThreads = 0;
   /// Campaign-wide fault plan (rair_campaign --faults): attached to every
   /// cell that does not already define its own plan. Part of each cell's

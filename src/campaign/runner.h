@@ -34,9 +34,10 @@ struct RunnerOptions {
   /// disables checkpointing.
   std::string checkpointDir;
   Cycle checkpointEvery = 25'000;
-  /// Sharded-engine threads inside each cell's simulation (composes with
-  /// `jobs`: total concurrency ~ jobs x shardThreads). 0 = single-threaded
-  /// cells; records are byte-identical for every value.
+  /// Cycle-engine shards inside each cell's simulation (composes with
+  /// `jobs`: total concurrency ~ jobs x shardThreads). 0 or 1 = one shard
+  /// on the cell's worker thread; records are byte-identical for every
+  /// value.
   int shardThreads = 0;
   /// Campaign-wide fault plan (the --faults file): attached to every cell
   /// that does not define its own plan. Changes results — faulted records

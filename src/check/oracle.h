@@ -99,7 +99,8 @@ struct OracleReport {
 
 /// Pure observer over one Network + packet ledger. Drive it either through
 /// Simulator::observers().attach() (the RAIR_CHECKS auto-arm path) or by
-/// calling onCycleEnd() manually after each Network::step().
+/// calling onCycleEnd() manually after each Network::step() of a bare
+/// network (tests that drive a Network without a Simulator).
 class NetworkOracle final : public SimObserver {
  public:
   NetworkOracle(const Network& net, const PacketPool& ledger,

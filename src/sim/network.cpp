@@ -105,18 +105,9 @@ void Network::wire() {
 }
 
 void Network::step(Cycle now) {
-  for (auto& nic : nics_) nic.tick(now);
-  for (auto& r : routers_) r.beginCycle(now);
-  for (auto& r : routers_) r.routeCompute(now);
-  for (auto& r : routers_) r.vcAllocate(now);
-  for (auto& r : routers_) r.switchAllocateAndTraverse(now);
-  for (auto& r : routers_) r.endCycle(now);
-  propagateCongestion();
-}
-
-void Network::propagateCongestion() {
-  std::swap(agg_, aggPrev_);
-  for (NodeId n = 0; n < mesh_->numNodes(); ++n) propagateCongestionRow(n);
+  phaseInjectRoute(now, 0, mesh_->numNodes());
+  phaseRetireCongestion();
+  phaseTraversePropagate(now, 0, mesh_->numNodes());
 }
 
 void Network::propagateCongestionRow(NodeId n) {

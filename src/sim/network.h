@@ -54,18 +54,18 @@ class Network final : public CongestionView {
   Network(const Mesh& mesh, const RegionMap& regions, NetworkConfig config,
           RoutingKind routingKind, const ArbiterPolicy& policy);
 
-  /// One clock edge: NICs first (inject/eject), then the router pipeline
-  /// phases, then congestion-information propagation.
+  /// One clock edge over every node: the cycle engine's one-shard schedule
+  /// (phase A, congestion retire, phase B; see sim/shard.h).
   void step(Cycle now);
 
   // --- Shard-callable phase slices (sim/shard.h) -------------------------
-  // The sharded engine advances disjoint contiguous node ranges through
-  // two fused phases with a barrier between them (and runs the congestion
+  // The cycle engine advances disjoint contiguous node ranges through two
+  // fused phases with a barrier between them (and runs the congestion
   // retire once, on the coordinator, at that barrier). Each slice touches
   // only range-local state: a node's own NIC/router buffers plus its own
   // side of the attached links — the two DelayPipes of a link (flits
   // downstream, credits upstream) are each written by exactly one endpoint
-  // per phase, so disjoint ranges never race and the fused schedule is
+  // per phase, so disjoint ranges never race and the schedule is
   // byte-identical to step() for any partition.
 
   /// Fused phase A over [begin, end): NIC tick, then router beginCycle /
@@ -122,10 +122,8 @@ class Network final : public CongestionView {
 
  private:
   void wire();
-  void propagateCongestion();
   /// One node's congestion-aggregate row, from its post-traversal free-VC
-  /// counts and the neighbors' aggPrev_ rows (shared by propagateCongestion
-  /// and phaseTraversePropagate).
+  /// counts and the neighbors' aggPrev_ rows.
   void propagateCongestionRow(NodeId n);
 
   const Mesh* mesh_;
@@ -148,8 +146,8 @@ class Network final : public CongestionView {
   std::vector<LinkLayer*> links_;
 
   // Mesh adjacency flattened once at construction: [node][4 router dirs]
-  // -> neighbor id or -1. propagateCongestion runs every cycle and would
-  // otherwise recompute coordinate arithmetic per (node, dir).
+  // -> neighbor id or -1. propagateCongestionRow runs every cycle and
+  // would otherwise recompute coordinate arithmetic per (node, dir).
   std::vector<NodeId> neighborTable_;
 
   // Side-band congestion network. agg_[n][d][h] = sum of free adaptive VC

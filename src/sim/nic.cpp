@@ -100,7 +100,8 @@ void Nic::tick(Cycle now) {
     fromRouter_->sendCredit(now, vc);
     if (isHead(f.type)) headHops_[static_cast<size_t>(vc)] = f.hops;
     if (isTail(f.type) && events_)
-      events_->onDelivered(f.pkt, now, headHops_[static_cast<size_t>(vc)]);
+      events_->push_back({f.pkt, now, headHops_[static_cast<size_t>(vc)],
+                          NicEventRecord::Kind::Delivered});
   }
 
   injectPhase(now);
@@ -146,7 +147,8 @@ void Nic::injectPhase(Cycle now) {
     const Flit f = makeFlit(s.pkt, s.next);
     toRouter_->sendFlit(now, f, s.vc);
     --credits_[static_cast<size_t>(s.vc)];
-    if (isHead(f.type) && events_) events_->onInjected(s.pkt.id, now);
+    if (isHead(f.type) && events_)
+      events_->push_back({s.pkt.id, now, 0, NicEventRecord::Kind::Injected});
     ++s.next;
     rrNext_ = (idx + 1) % n;
     if (s.next == s.pkt.numFlits)

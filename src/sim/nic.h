@@ -19,6 +19,7 @@
 // per flit immediately — the model of an always-ready receiving core.
 #pragma once
 
+#include <cstdint>
 #include <vector>
 
 #include "common/ring.h"
@@ -41,17 +42,15 @@ namespace fault {
 class FaultInjector;  // fault-event application (src/fault/)
 }
 
-/// Receiver of NIC lifecycle events. A plain interface instead of
-/// per-event std::function hooks: one indirect call on the hot path, no
-/// type-erased closure storage.
-class NicEvents {
- public:
-  virtual ~NicEvents() = default;
-  /// Head flit first entered the network (left the NIC).
-  virtual void onInjected(PacketId id, Cycle injectCycle) = 0;
-  /// Tail flit delivered; `hops` is the hop count observed by the head.
-  virtual void onDelivered(PacketId id, Cycle ejectCycle,
-                           std::uint16_t hops) = 0;
+/// One NIC lifecycle event, appended to the NIC's shard log and replayed
+/// by the cycle engine (sim/shard.h) in ascending node order. Injected:
+/// the head flit left the NIC. Delivered: the tail flit was ejected.
+struct NicEventRecord {
+  enum class Kind : std::uint8_t { Injected, Delivered };
+  PacketId id;
+  Cycle when;
+  std::uint16_t hops;  ///< Delivered only: hop count seen by the head
+  Kind kind;
 };
 
 class Nic {
@@ -72,8 +71,9 @@ class Nic {
   /// ejects arriving flits, injects at most one flit.
   void tick(Cycle now);
 
-  /// Registers the (single) event receiver; may be null to drop events.
-  void setEvents(NicEvents* events) { events_ = events; }
+  /// Registers the log lifecycle events are appended to (the cycle
+  /// engine's per-shard buffer); may be null to drop events.
+  void setEventLog(std::vector<NicEventRecord>* log) { events_ = log; }
 
   NodeId node() const { return node_; }
   std::size_t queuedPackets() const;
@@ -126,7 +126,7 @@ class Nic {
   std::vector<std::uint16_t> headHops_;  ///< hops of in-flight head per VC
   std::size_t rrNext_ = 0;       ///< round-robin over active_
   std::size_t rrQueue_ = 0;      ///< round-robin over queues_ for VC claims
-  NicEvents* events_ = nullptr;
+  std::vector<NicEventRecord>* events_ = nullptr;
   /// Fault-injected injection freeze: claims and injection stop, credits
   /// and ejection continue. Maintained by the fault injector; not
   /// serialized — the snapshot's fault section re-applies it on restore.

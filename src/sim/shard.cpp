@@ -14,8 +14,7 @@ constexpr int kSpinIterations = 2048;
 
 }  // namespace
 
-ShardEngine::ShardEngine(Network& net, NicEvents& sink, int numShards)
-    : net_(&net), sink_(&sink) {
+ShardEngine::ShardEngine(Network& net, int numShards) : net_(&net) {
   RAIR_CHECK_MSG(numShards >= 1, "ShardEngine with no shards");
   const NodeId numNodes = net.mesh().numNodes();
   shards_.resize(static_cast<std::size_t>(numShards));
@@ -27,9 +26,9 @@ ShardEngine::ShardEngine(Network& net, NicEvents& sink, int numShards)
     shard.begin = next;
     next += base + (s < rem ? 1 : 0);
     shard.end = next;
-    shard.stage.events.reserve(64);
+    shard.events.reserve(64);
     for (NodeId n = shard.begin; n < shard.end; ++n)
-      net_->nic(n).setEvents(&shard.stage);
+      net_->nic(n).setEventLog(&shard.events);
   }
   RAIR_CHECK(next == numNodes);
   workers_.reserve(shards_.size() - 1);
@@ -42,8 +41,6 @@ ShardEngine::~ShardEngine() {
   epoch_.fetch_add(1, std::memory_order_release);
   epoch_.notify_all();
   for (auto& w : workers_) w.join();
-  for (NodeId n = 0; n < net_->mesh().numNodes(); ++n)
-    net_->nic(n).setEvents(sink_);
 }
 
 void ShardEngine::runShardPhase(Phase p, const Shard& s, Cycle now) {
@@ -90,28 +87,15 @@ void ShardEngine::workerLoop(std::size_t shardIndex) {
   }
 }
 
-void ShardEngine::step(Cycle now) {
+void ShardEngine::advance(Cycle now) {
   if (workers_.empty()) {
     // Single shard: same fused-phase schedule, no hand-off machinery.
-    net_->phaseInjectRoute(now, shards_[0].begin, shards_[0].end);
-    net_->phaseRetireCongestion();
-    net_->phaseTraversePropagate(now, shards_[0].begin, shards_[0].end);
-  } else {
-    dispatch(Phase::InjectRoute, now);
-    net_->phaseRetireCongestion();
-    dispatch(Phase::TraversePropagate, now);
+    net_->step(now);
+    return;
   }
-  // Canonical replay: shard order = ascending node order = the exact event
-  // order of the single-threaded NIC loop.
-  for (Shard& s : shards_) {
-    for (const NicEventRecord& e : s.stage.events) {
-      if (e.kind == NicEventRecord::Kind::Injected)
-        sink_->onInjected(e.id, e.when);
-      else
-        sink_->onDelivered(e.id, e.when, e.hops);
-    }
-    s.stage.events.clear();
-  }
+  dispatch(Phase::InjectRoute, now);
+  net_->phaseRetireCongestion();
+  dispatch(Phase::TraversePropagate, now);
 }
 
 }  // namespace rair

@@ -1,23 +1,27 @@
-// Deterministic sharded cycle engine: space-partitioned intra-run
-// parallelism over the flattened Network.
+// Deterministic sharded cycle engine: the simulator's one way to step a
+// cycle, with optional space-partitioned parallelism over the flattened
+// Network.
 //
 // The network is split into contiguous node ranges (shards), one worker
 // thread per shard, and every cycle runs as two barrier-separated fused
-// phases (see Network::phaseInjectRoute / phaseTraversePropagate). The
-// partition is sound because each phase only ever mutates shard-local
-// state: a router's phase methods touch its own buffers plus its own side
-// of the attached links, and the two DelayPipes of a cross-shard link
-// (flits downstream, credits upstream) are each written by exactly one
-// endpoint per phase. The one cross-cutting side effect — NIC lifecycle
-// events into the simulator's packet ledger — is staged per shard during
-// the NIC phase and replayed on the coordinator in canonical shard order
-// (= ascending node order, exactly the single-threaded NIC loop order).
+// phases (see Network::phaseInjectRoute / phaseTraversePropagate). One
+// shard runs the same schedule inline on the caller (Network::step), with
+// no pool. The partition is sound because each phase only ever mutates
+// shard-local state: a router's phase methods touch its own buffers plus
+// its own side of the attached links, and the two DelayPipes of a
+// cross-shard link (flits downstream, credits upstream) are each written
+// by exactly one endpoint per phase. The one cross-cutting side effect —
+// NIC lifecycle events into the simulator's packet ledger — is logged per
+// shard during the NIC phase and replayed on the coordinator in canonical
+// shard order (= ascending node order) after both phases. The packet
+// pool's free list is order-dependent and snapshot-serialized, so replay
+// order is part of byte-identity.
 //
 // Determinism contract: results, statistics, observer callback sequences
-// and snapshot bytes are identical to the single-threaded engine for any
-// shard count. There is no per-shard RNG to split: traffic sources tick on
-// the coordinator before the phases run, so the parallel section consumes
-// no random numbers at all.
+// and snapshot bytes are identical for any shard count. There is no
+// per-shard RNG to split: traffic sources tick on the coordinator before
+// the phases run, so the parallel section consumes no random numbers at
+// all.
 #pragma once
 
 #include <atomic>
@@ -29,59 +33,39 @@
 
 namespace rair {
 
-/// One staged NIC lifecycle event, replayed by the coordinator after the
-/// parallel phases so the simulator observes deliveries in the exact
-/// single-threaded order (the packet pool's free list is order-dependent
-/// and snapshot-serialized, so replay order is part of byte-identity).
-struct NicEventRecord {
-  enum class Kind : std::uint8_t { Injected, Delivered };
-  PacketId id;
-  Cycle when;
-  std::uint16_t hops;  ///< meaningful for Delivered only
-  Kind kind;
-};
-
 class ShardEngine {
  public:
-  /// Partitions `net` into `numShards` contiguous node ranges and rewires
-  /// every NIC's event receiver to this engine's per-shard staging. `sink`
-  /// receives the replayed events (the Simulator). The destructor rewires
-  /// the NICs back to `sink`. Both referents must outlive the engine.
-  ShardEngine(Network& net, NicEvents& sink, int numShards);
+  /// Partitions `net` (which must outlive the engine) into `numShards`
+  /// contiguous node ranges and points every NIC's event log at its
+  /// shard's buffer.
+  ShardEngine(Network& net, int numShards);
   ~ShardEngine();
 
   ShardEngine(const ShardEngine&) = delete;
   ShardEngine& operator=(const ShardEngine&) = delete;
 
-  int numShards() const { return static_cast<int>(shards_.size()); }
-
-  /// Advances the network one cycle (equivalent to Network::step) and
-  /// replays the staged NIC events into the sink in shard order.
-  void step(Cycle now);
+  /// Advances the network one cycle, then hands the cycle's NIC events to
+  /// `replay` on the calling thread in shard order and clears the logs.
+  template <typename Replay>
+  void step(Cycle now, Replay&& replay) {
+    advance(now);
+    for (Shard& s : shards_) {
+      for (const NicEventRecord& e : s.events) replay(e);
+      s.events.clear();
+    }
+  }
 
  private:
-  /// Per-shard NicEvents receiver: records instead of acting. Only the
-  /// shard's own worker writes it during a phase.
-  struct Stage final : NicEvents {
-    void onInjected(PacketId id, Cycle when) override {
-      events.push_back(
-          {id, when, 0, NicEventRecord::Kind::Injected});
-    }
-    void onDelivered(PacketId id, Cycle when, std::uint16_t hops) override {
-      events.push_back(
-          {id, when, hops, NicEventRecord::Kind::Delivered});
-    }
-    std::vector<NicEventRecord> events;
-  };
-
   struct Shard {
     NodeId begin = 0;
     NodeId end = 0;
-    Stage stage;
+    std::vector<NicEventRecord> events;  ///< written by its worker only
   };
 
   enum class Phase : std::uint8_t { InjectRoute, TraversePropagate };
 
+  /// Runs both phases of cycle `now` over every shard.
+  void advance(Cycle now);
   void runShardPhase(Phase p, const Shard& s, Cycle now);
   /// Runs `p` on every shard (shard 0 on the calling thread) and returns
   /// once all shards completed — the per-phase barrier.
@@ -89,7 +73,6 @@ class ShardEngine {
   void workerLoop(std::size_t shardIndex);
 
   Network* net_;
-  NicEvents* sink_;
   std::vector<Shard> shards_;
 
   // Phase hand-off: the coordinator publishes (phase_, cycle_) with a

@@ -1,5 +1,6 @@
 #include "sim/simulator.h"
 
+#include <algorithm>
 #include <cinttypes>
 #include <cstdio>
 
@@ -31,20 +32,9 @@ Simulator::Simulator(const Mesh& mesh, const RegionMap& regions,
       config_(config),
       net_(std::make_unique<Network>(mesh, regions, config.net,
                                      config.routing, policy)),
+      engine_(*net_, std::max(1, config.shardThreads)),
       stats_(numApps) {
-  for (NodeId n = 0; n < mesh.numNodes(); ++n) net_->nic(n).setEvents(this);
-  if (config_.shardThreads >= 1)
-    engine_ = std::make_unique<ShardEngine>(
-        *net_, static_cast<NicEvents&>(*this), config_.shardThreads);
   snapTripwire_.sim = this;
-}
-
-void Simulator::setDeliveryHook(DeliveryHook hook) {
-  deliveryHook_ = std::move(hook);
-  // A hook creates packets mid-delivery; the staged replay of the sharded
-  // engine cannot reproduce the single-threaded interleaving of those
-  // injections, so hooked simulations step single-threaded.
-  if (deliveryHook_ && engine_ != nullptr) engine_.reset();
 }
 
 void Simulator::SnapshotTripwire::onCycleBegin(Cycle now) {
@@ -105,18 +95,18 @@ void Simulator::injectAt(Cycle when, NodeId src, NodeId dst, AppId app,
   deferred_.push(Deferred{when, src, dst, app, cls, numFlits});
 }
 
-void Simulator::onInjected(PacketId id, Cycle when) {
-  ledger_.get(id).injectCycle = when;
-}
-
-void Simulator::onDelivered(PacketId id, Cycle when, std::uint16_t hops) {
-  RAIR_CHECK_MSG(ledger_.isLive(id), "delivery of unknown packet");
+void Simulator::onNicEvent(const NicEventRecord& e) {
+  if (e.kind == NicEventRecord::Kind::Injected) {
+    ledger_.get(e.id).injectCycle = e.when;
+    return;
+  }
+  RAIR_CHECK_MSG(ledger_.isLive(e.id), "delivery of unknown packet");
   // Copy out and release first: a delivery hook may create packets, which
   // can grow the slab and would invalidate a reference into it.
-  Packet p = ledger_.get(id);
-  ledger_.release(id);
-  p.ejectCycle = when;
-  p.hops = hops;
+  Packet p = ledger_.get(e.id);
+  ledger_.release(e.id);
+  p.ejectCycle = e.when;
+  p.hops = e.hops;
   stats_.onPacketDelivered(p);
   ++delivered_;
   if (stats_.inMeasurementWindow(p.createCycle))
@@ -138,10 +128,7 @@ void Simulator::stepCycle() {
     createPacket(d.src, d.dst, d.app, d.cls, d.numFlits);
   }
   for (auto& src : sources_) src->tick(*this);
-  if (engine_ != nullptr)
-    engine_->step(now_);
-  else
-    net_->step(now_);
+  engine_.step(now_, [this](const NicEventRecord& e) { onNicEvent(e); });
   if (net_->flitsMovedLastCycle() > 0 || delivered_ != lastDelivered_ ||
       ledger_.empty()) {
     lastProgress_ = now_;

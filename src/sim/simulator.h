@@ -37,11 +37,11 @@ struct SimConfig {
   /// Abort if no flit moves and nothing is delivered for this many cycles
   /// while packets are in flight (deadlock/livelock tripwire).
   Cycle progressTimeout = 50'000;
-  /// 0 = classic single-threaded stepping. n >= 1 runs the deterministic
-  /// sharded cycle engine (sim/shard.h) with n shards/worker threads;
-  /// results, observer sequences and snapshot bytes are byte-identical to
-  /// the single-threaded engine for every value. Excluded from scenario
-  /// snapshot keys — checkpoints are thread-count-agnostic.
+  /// Shards of the cycle engine (sim/shard.h). 0 or 1: one shard on the
+  /// calling thread; n >= 2: n shards, n - 1 of them on worker threads.
+  /// Results, observer sequences and snapshot bytes are byte-identical for
+  /// every value. Excluded from scenario snapshot keys — checkpoints are
+  /// thread-count-agnostic.
   int shardThreads = 0;
 };
 
@@ -143,7 +143,7 @@ struct RunResult {
   double deliveredFlitRate = 0.0;
 };
 
-class Simulator final : public InjectionSink, private NicEvents {
+class Simulator final : public InjectionSink {
  public:
   /// The fault subsystem's attachment surface beyond plain observation
   /// (src/fault/ implements it; the simulator core stays fault-agnostic):
@@ -175,12 +175,12 @@ class Simulator final : public InjectionSink, private NicEvents {
   void addSource(std::unique_ptr<TrafficSource> src);
 
   /// Optional hook fired on every delivery — used by the trace substrate
-  /// to synthesize replies to requests. Installing a hook reverts the
-  /// simulator to single-threaded stepping: a hook may create packets
-  /// mid-delivery, which the sharded engine's staged replay cannot
-  /// reproduce in the single-threaded event order.
+  /// to synthesize replies to requests. It runs on the calling thread at
+  /// the cycle engine's replay, after both network phases of the cycle,
+  /// in ascending node order; a packet it creates is enqueued for the next
+  /// cycle's NIC tick.
   using DeliveryHook = std::function<void(const Packet&, InjectionSink&)>;
-  void setDeliveryHook(DeliveryHook hook);
+  void setDeliveryHook(DeliveryHook hook) { deliveryHook_ = std::move(hook); }
 
   /// Schedules a packet to be created at a future cycle (e.g. a reply
   /// after a cache-service latency).
@@ -255,10 +255,8 @@ class Simulator final : public InjectionSink, private NicEvents {
   void setSnapshotHook(SnapshotHook hook, Cycle savePoint, Cycle every = 0);
 
  private:
-  // NicEvents: every NIC reports into the simulator's ledger directly
-  // (via the sharded engine's staged replay when one is active).
-  void onInjected(PacketId id, Cycle when) override;
-  void onDelivered(PacketId id, Cycle when, std::uint16_t hops) override;
+  /// Applies one NIC event, replayed by the cycle engine, to the ledger.
+  void onNicEvent(const NicEventRecord& e);
 
   /// The snapshot predicate as a begin-of-cycle observer: fires the hook
   /// when the save point or the periodic interval is due.
@@ -273,7 +271,7 @@ class Simulator final : public InjectionSink, private NicEvents {
   const Mesh* mesh_;
   SimConfig config_;
   std::unique_ptr<Network> net_;
-  std::unique_ptr<ShardEngine> engine_;  ///< present when shardThreads >= 1
+  ShardEngine engine_;
   std::vector<std::unique_ptr<TrafficSource>> sources_;
   StatsCollector stats_;
   DeliveryHook deliveryHook_;

@@ -12,7 +12,7 @@
 #include "check/oracle.h"
 #include "fault/injector.h"
 #include "fault/plan.h"
-#include "routing/degraded.h"
+#include "routing/tables.h"
 #include "scenarios/paper_scenarios.h"
 #include "sim/scenario.h"
 #include "sim/simulator.h"
@@ -115,9 +115,9 @@ TEST(FaultPlan, EventsStaySortedByCycle) {
 
 // ---- Degraded-topology routing tables -------------------------------------
 
-TEST(DegradedTopology, SingleDeadLinkKeepsMeshConnected) {
+TEST(RoutingTablesDegraded, SingleDeadLinkKeepsMeshConnected) {
   Mesh mesh(4, 4);
-  DegradedTopology deg(mesh);
+  RoutingTables deg(mesh);
   EXPECT_FALSE(deg.active());
 
   // Kill the channel between (1,1) and (2,1).
@@ -164,9 +164,9 @@ TEST(DegradedTopology, SingleDeadLinkKeepsMeshConnected) {
   EXPECT_EQ(deg.unreachablePairs(), 0u);
 }
 
-TEST(DegradedTopology, ConnectivityBitsReflectDeadLinks) {
+TEST(RoutingTablesDegraded, ConnectivityBitsReflectDeadLinks) {
   Mesh mesh(3, 3);
-  DegradedTopology deg(mesh);
+  RoutingTables deg(mesh);
   const NodeId center = mesh.nodeAt({1, 1});
   const std::uint8_t before = deg.connectivityBits(center);
   EXPECT_EQ(before, 0b1111);  // all four links of the center node alive
@@ -180,9 +180,9 @@ TEST(DegradedTopology, ConnectivityBitsReflectDeadLinks) {
   EXPECT_EQ(popcount, 2);
 }
 
-TEST(DegradedTopology, CutIsolatingACornerPartitionsTheMesh) {
+TEST(RoutingTablesDegraded, CutIsolatingACornerPartitionsTheMesh) {
   Mesh mesh(2, 2);
-  DegradedTopology deg(mesh);
+  RoutingTables deg(mesh);
   // Kill both links of node (0,0): the mesh splits {corner} | {rest}.
   const NodeId corner = mesh.nodeAt({0, 0});
   for (int d = 1; d < kNumPorts; ++d) {
@@ -201,9 +201,9 @@ TEST(DegradedTopology, CutIsolatingACornerPartitionsTheMesh) {
   EXPECT_EQ(deg.distance(corner, mesh.nodeAt({1, 1})), -1);
 }
 
-TEST(DegradedTopology, RoutingAlgorithmBypassesInactiveTables) {
+TEST(RoutingTablesDegraded, RoutingAlgorithmBypassesInactiveTables) {
   Mesh mesh(4, 4);
-  DegradedTopology deg(mesh);
+  RoutingTables deg(mesh);
   XyRouting xy;
   Packet p;
   p.id = 1;
@@ -288,8 +288,11 @@ ScenarioSpec smallSpec(const Mesh& mesh, const RegionMap& regions,
   return fig09Spec(mesh, regions, 0.5, scheme, 0xFA11ull);
 }
 
+// The kind is a std::string, not a const char*: gtest prints a pointer
+// parameter with its address, which would put a run-dependent number in
+// the discovered test name.
 class FaultKindOracle
-    : public ::testing::TestWithParam<std::tuple<const char*, int>> {};
+    : public ::testing::TestWithParam<std::tuple<std::string, int>> {};
 
 TEST_P(FaultKindOracle, NoViolationsAndAllDropsAccounted) {
   const std::string kind = std::get<0>(GetParam());
@@ -469,9 +472,9 @@ TEST(FaultGolden, IncrementalRecomputeIsByteInvisible) {
   const ScenarioSpec faulted = midOutageSpec(mesh, regions);
 
   for (const ScenarioSpec* spec : {&faultFree, &faulted}) {
-    DegradedTopology::forceFullRebuildForTest = true;
+    RoutingTables::forceFullRebuildForTest = true;
     const auto full = serializedAfter(*spec, 3'000, false);
-    DegradedTopology::forceFullRebuildForTest = false;
+    RoutingTables::forceFullRebuildForTest = false;
     const auto incremental = serializedAfter(*spec, 3'000, false);
     EXPECT_TRUE(full == incremental);
     for (const int threads : {1, 2, 4}) {
@@ -486,12 +489,12 @@ TEST(FaultSnapshot, MidOutageStateIsByteStableAcrossShardThreadCounts) {
   Mesh mesh(8, 8);
   const RegionMap regions = RegionMap::halves(mesh);
   const ScenarioSpec spec = midOutageSpec(mesh, regions);
-  const auto legacy = serializedAfter(spec, 3'000, false);
+  const auto oneShard = serializedAfter(spec, 3'000, false);
   for (const int threads : {1, 2, 4}) {
     const auto sharded =
         serializedAfter(ScenarioSpec(spec).withThreads(threads), 3'000,
                         false);
-    EXPECT_TRUE(legacy == sharded) << "threads=" << threads;
+    EXPECT_TRUE(oneShard == sharded) << "threads=" << threads;
   }
 }
 
@@ -541,12 +544,12 @@ TEST(FaultSnapshot, MidResetStateIsByteStableAcrossShardThreadCounts) {
   Mesh mesh(8, 8);
   const RegionMap regions = RegionMap::halves(mesh);
   const ScenarioSpec spec = midResetSpec(mesh, regions);
-  const auto legacy = serializedAfter(spec, 3'000, false);
+  const auto oneShard = serializedAfter(spec, 3'000, false);
   for (const int threads : {1, 2, 4}) {
     const auto sharded =
         serializedAfter(ScenarioSpec(spec).withThreads(threads), 3'000,
                         false);
-    EXPECT_TRUE(legacy == sharded) << "threads=" << threads;
+    EXPECT_TRUE(oneShard == sharded) << "threads=" << threads;
   }
 }
 

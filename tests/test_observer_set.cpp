@@ -1,8 +1,7 @@
 // ObserverSet: the simulator's dynamic observer list. Attach/detach
 // ordering, the absence of a slot-count ceiling, dispatch of all three
-// callbacks through a live simulation, the deprecated setDeliveryObserver
-// shim, and the delivery-hook fallback that reverts a sharded simulator
-// to single-threaded stepping.
+// callbacks through a live simulation, and a delivery hook on a sharded
+// simulator.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -123,22 +122,21 @@ TEST(ObserverSet, SimulatorDispatchesAllThreeCallbacks) {
   EXPECT_EQ(counter.begins, 500);
 }
 
-TEST(ObserverSet, DeliveryHookRevertsShardedSimulatorToLegacyStepping) {
+TEST(ObserverSet, DeliveryHookOnShardedSimulatorKeepsStateByteIdentical) {
   Mesh mesh(8, 8);
   const RegionMap regions = RegionMap::halves(mesh);
   const ScenarioSpec spec = smallSpec(mesh, regions);
 
-  // Reference: plain single-threaded run.
-  AssembledScenario legacy = assembleScenario(spec);
-  legacy.sim->begin();
-  for (int i = 0; i < 2000; ++i) legacy.sim->stepCycle();
-  snapshot::Writer wl;
-  legacy.sim->save(wl);
+  // Reference: plain one-shard run without a hook.
+  AssembledScenario plain = assembleScenario(spec);
+  plain.sim->begin();
+  for (int i = 0; i < 2000; ++i) plain.sim->stepCycle();
+  snapshot::Writer wp;
+  plain.sim->save(wp);
 
-  // Sharded simulator with a no-op delivery hook installed: the hook
-  // forces the fallback (hooks may create packets mid-delivery, which the
-  // staged replay cannot reproduce), and the run must still match the
-  // reference byte for byte.
+  // Sharded simulator with a no-op delivery hook installed: the hook fires
+  // at the coordinator's replay, and the run must match the reference byte
+  // for byte. A hooked simulation is never snapshot-eligible.
   AssembledScenario sharded =
       assembleScenario(ScenarioSpec(spec).withThreads(4));
   sharded.sim->setDeliveryHook([](const Packet&, InjectionSink&) {});
@@ -148,7 +146,7 @@ TEST(ObserverSet, DeliveryHookRevertsShardedSimulatorToLegacyStepping) {
   snapshot::Writer ws;
   sharded.sim->save(ws);
 
-  EXPECT_TRUE(wl.payload() == ws.payload());
+  EXPECT_TRUE(wp.payload() == ws.payload());
 }
 
 }  // namespace

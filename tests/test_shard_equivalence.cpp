@@ -1,10 +1,10 @@
-// Sharded-engine equivalence: the deterministic sharded cycle engine
-// (sim/shard.h) must reproduce the single-threaded simulator bit-for-bit
-// at every thread count. The golden constants are the same recorded
-// seed-implementation numbers test_equivalence.cpp pins — a sharded run
-// is held to the exact same trajectory, not merely to a same-binary
-// reference. Suite names all start with "Shard" so CI can select this
-// subset for the ThreadSanitizer job with `ctest -R Shard`.
+// Sharded-engine equivalence: the cycle engine (sim/shard.h) must
+// reproduce its one-shard run bit-for-bit at every thread count. The
+// golden constants are the recorded seed-implementation numbers
+// test_equivalence.cpp pins at one shard — a sharded run is held to the
+// exact same trajectory, not merely to a same-binary reference. Suite
+// names all start with "Shard" so CI can select this subset for the
+// ThreadSanitizer job with `ctest -R Shard`.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -12,6 +12,7 @@
 
 #include "campaign/runner.h"
 #include "scenarios/paper_scenarios.h"
+#include "scenarios/parsec_scenario.h"
 #include "sim/scenario.h"
 #include "snapshot/bisect.h"
 #include "snapshot/buffer.h"
@@ -127,7 +128,7 @@ TEST_P(ShardGolden, Fig14RaRairMatchesRecordedGolden) {
   EXPECT_EQ(r.run.termination, Termination::Drained);
 }
 
-INSTANTIATE_TEST_SUITE_P(Threads, ShardGolden, ::testing::Values(1, 2, 4, 8),
+INSTANTIATE_TEST_SUITE_P(Threads, ShardGolden, ::testing::Values(2, 4, 8),
                          [](const auto& info) {
                            return "t" + std::to_string(info.param);
                          });
@@ -149,12 +150,12 @@ TEST(ShardState, SerializedStateMatchesLegacyByteForByte8x8) {
   const RegionMap regions = RegionMap::halves(mesh);
   const ScenarioSpec spec =
       fig09Spec(mesh, regions, 0.5, schemeRaRair(), 17911839290282890590ull);
-  const auto legacy = serializedAfter(spec, 3000);
+  const auto oneShard = serializedAfter(spec, 3000);
   for (const int threads : {1, 2, 4, 8}) {
     const auto sharded =
         serializedAfter(ScenarioSpec(spec).withThreads(threads), 3000);
-    EXPECT_TRUE(legacy == sharded) << "threads=" << threads << ": "
-        << snapshot::firstDifferingSection(legacy, sharded);
+    EXPECT_TRUE(oneShard == sharded) << "threads=" << threads << ": "
+        << snapshot::firstDifferingSection(oneShard, sharded);
   }
 }
 
@@ -165,21 +166,21 @@ TEST(ShardState, SerializedStateMatchesLegacyByteForByte16x16) {
   const RegionMap regions = RegionMap::halves(mesh);
   const ScenarioSpec spec =
       fig09Spec(mesh, regions, 0.25, schemeRaRair(), 8196980753821780235ull);
-  const auto legacy = serializedAfter(spec, 1500);
+  const auto oneShard = serializedAfter(spec, 1500);
   for (const int threads : {3, 7, 8}) {
     const auto sharded =
         serializedAfter(ScenarioSpec(spec).withThreads(threads), 1500);
-    EXPECT_TRUE(legacy == sharded) << "threads=" << threads << ": "
-        << snapshot::firstDifferingSection(legacy, sharded);
+    EXPECT_TRUE(oneShard == sharded) << "threads=" << threads << ": "
+        << snapshot::firstDifferingSection(oneShard, sharded);
   }
 }
 
 // ---- Delivery hooks under the sharded engine ------------------------------
 
-/// Records the exact onDelivery callback sequence. The staged NIC replay
-/// (shard.h) promises observer callback order identical to the
-/// single-threaded engine, which this pins directly — the golden tests
-/// above only see the aggregated statistics.
+/// Records the exact onDelivery callback sequence. The canonical NIC
+/// replay (shard.h) promises the same observer callback order at every
+/// shard count, which this pins directly — the golden tests above only see
+/// the aggregated statistics.
 struct DeliveryRecorder final : SimObserver {
   std::vector<std::pair<PacketId, Cycle>> seq;
   Cycle now = 0;
@@ -203,17 +204,16 @@ TEST(ShardObserver, DeliveryHookSequenceIdenticalAcrossThreadCounts) {
     return rec.seq;
   };
 
-  const auto legacy = sequence(0);
-  ASSERT_FALSE(legacy.empty());
+  const auto oneShard = sequence(0);
+  ASSERT_FALSE(oneShard.empty());
   for (const int threads : {1, 2, 8})
-    EXPECT_TRUE(legacy == sequence(threads)) << "threads=" << threads;
+    EXPECT_TRUE(oneShard == sequence(threads)) << "threads=" << threads;
 }
 
-TEST(ShardFallback, DeliveryHookRevertsToSingleThreadedStepping) {
-  // setDeliveryHook on a sharded simulator drops the shard engine (hooks
-  // create packets mid-delivery, which staged replay cannot reproduce in
-  // event order) — the run must silently fall back and still hit the
-  // golden trajectory.
+TEST(ShardHook, CountingHookRunIdenticalAcrossThreadCounts) {
+  // A delivery hook fires at the coordinator's canonical replay, so a
+  // hooked run stays sharded and must hit the golden trajectory with the
+  // same hook calls at every thread count.
   Mesh mesh(8, 8);
   const RegionMap regions = RegionMap::halves(mesh);
   const ScenarioSpec spec =
@@ -229,15 +229,75 @@ TEST(ShardFallback, DeliveryHookRevertsToSingleThreadedStepping) {
     return std::pair<RunResult, std::uint64_t>(r, hookCalls);
   };
 
-  const auto [legacy, legacyCalls] = runWithHook(0);
-  EXPECT_EQ(legacy.packetsDelivered, 85224u);
+  const auto [oneShard, oneShardCalls] = runWithHook(0);
+  EXPECT_EQ(oneShard.packetsDelivered, 85224u);
   const auto [sharded, shardedCalls] = runWithHook(8);
-  EXPECT_EQ(sharded.termination, legacy.termination);
-  EXPECT_EQ(sharded.cyclesRun, legacy.cyclesRun);
-  EXPECT_EQ(sharded.packetsCreated, legacy.packetsCreated);
-  EXPECT_EQ(sharded.packetsDelivered, legacy.packetsDelivered);
-  EXPECT_EQ(shardedCalls, legacyCalls);
+  EXPECT_EQ(sharded.termination, oneShard.termination);
+  EXPECT_EQ(sharded.cyclesRun, oneShard.cyclesRun);
+  EXPECT_EQ(sharded.packetsCreated, oneShard.packetsCreated);
+  EXPECT_EQ(sharded.packetsDelivered, oneShard.packetsDelivered);
+  EXPECT_EQ(shardedCalls, oneShardCalls);
 }
+
+// ---- Hooked runs: PARSEC request/reply across thread counts ---------------
+
+class ShardParsec : public ::testing::TestWithParam<int> {};
+
+TEST_P(ShardParsec, RequestReplyMatchesRecordedGolden) {
+  // fig16 benchmarks on 8x8 quadrants, seed 7, short windows. Every
+  // delivered request schedules its reply from the delivery hook, which
+  // fires at the coordinator's canonical replay.
+  const struct {
+    bool raRair;
+    double flood;  // adversarial flits/cycle/node; 0 = no attack
+    Cycle cyclesRun;
+    std::uint64_t created, delivered, flitHops;
+    double meanApl;
+    std::vector<double> appApl;
+  } goldens[] = {
+      {false, 0.0, 3040, 6029, 6002, 78796, 21.342737929664217,
+       {20.094736842105263, 20.230263157894736, 21.08300835654596,
+        21.809799382716051}},
+      {false, 0.25, 3062, 22564, 22360, 389937, 34.405339674647351,
+       {23.96842105263158, 25.00219298245614, 26.986080178173719,
+        29.364583333333332, 36.830276932214716}},
+      {true, 0.0, 3040, 6029, 6002, 78796, 21.391814027419034,
+       {20.094736842105263, 20.236842105263158, 21.124791086350974,
+        21.875}},
+      {true, 0.25, 3071, 22626, 22406, 390865, 38.030907224293507,
+       {21.55263157894737, 21.833333333333332, 23.610339077265149,
+        25.293482452757424, 43.189991833098226}},
+  };
+  Mesh mesh(8, 8);
+  const RegionMap regions = RegionMap::quadrants(mesh);
+  for (const auto& g : goldens) {
+    SCOPED_TRACE(std::string(g.raRair ? "RA_RAIR" : "RO_RR") +
+                 " flood=" + std::to_string(g.flood));
+    SimConfig cfg;
+    cfg.warmupCycles = 500;
+    cfg.measureCycles = 2500;
+    cfg.drainLimit = 20'000;
+    cfg.shardThreads = GetParam();
+    scenarios::ParsecScenarioOptions opts;
+    opts.seed = 7;
+    opts.adversarialRate = g.flood;
+    const auto r = scenarios::runParsecScenario(
+        mesh, regions, cfg, g.raRair ? schemeRaRair() : schemeRoRr(),
+        scenarios::fig16Benchmarks(), opts);
+    EXPECT_EQ(r.run.termination, Termination::Drained);
+    EXPECT_EQ(r.run.cyclesRun, g.cyclesRun);
+    EXPECT_EQ(r.run.packetsCreated, g.created);
+    EXPECT_EQ(r.run.packetsDelivered, g.delivered);
+    EXPECT_EQ(r.run.flitHops, g.flitHops);
+    EXPECT_EQ(r.meanApl, g.meanApl);
+    EXPECT_EQ(r.appApl, g.appApl);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Threads, ShardParsec, ::testing::Values(1, 2, 4),
+                         [](const auto& info) {
+                           return "t" + std::to_string(info.param);
+                         });
 
 // ---- Oversubscribed fallback: more shards than nodes ----------------------
 
@@ -249,11 +309,11 @@ TEST(ShardFallback, MoreShardsThanNodesMatchesLegacyByteForByte) {
   const RegionMap regions = RegionMap::halves(mesh);
   const ScenarioSpec spec =
       fig09Spec(mesh, regions, 0.5, schemeRaRair(), 8042142155559163816ull);
-  const auto legacy = serializedAfter(spec, 1000);
+  const auto oneShard = serializedAfter(spec, 1000);
   const auto sharded =
       serializedAfter(ScenarioSpec(spec).withThreads(24), 1000);
-  EXPECT_TRUE(legacy == sharded)
-      << snapshot::firstDifferingSection(legacy, sharded);
+  EXPECT_TRUE(oneShard == sharded)
+      << snapshot::firstDifferingSection(oneShard, sharded);
 }
 
 // ---- Campaign records across --shard-threads x --jobs ---------------------
@@ -315,7 +375,7 @@ TEST(ShardCampaign, RecordsIndependentOfShardThreadsAndJobs) {
 // mid-window with measured packets in flight.
 constexpr Cycle kMidWindow = 12'000;
 
-TEST(ShardContinuation, CheckpointAt8ThreadsResumesLegacyToGolden) {
+TEST(ShardContinuation, CheckpointAt8ThreadsResumesOnOneShardToGolden) {
   Mesh mesh(8, 8);
   const RegionMap regions = RegionMap::halves(mesh);
   const ScenarioSpec spec =
@@ -326,13 +386,13 @@ TEST(ShardContinuation, CheckpointAt8ThreadsResumesLegacyToGolden) {
   ASSERT_TRUE(writeScenarioCheckpoint(ScenarioSpec(spec).withThreads(8),
                                       kMidWindow, path));
 
-  // Resume on the classic single-threaded engine (shardThreads = 0).
+  // Resume on one shard (shardThreads = 0).
   const ScenarioResult r = runScenario(ScenarioSpec(spec).withCheckpoint(path));
   EXPECT_EQ(r.resumedFromCycle, kMidWindow);
   expectFig09Golden(r);
 }
 
-TEST(ShardContinuation, LegacyCheckpointResumesAt4ThreadsToGolden) {
+TEST(ShardContinuation, OneShardCheckpointResumesAt4ThreadsToGolden) {
   Mesh mesh(8, 8);
   const RegionMap regions = RegionMap::quadrants(mesh);
   const ScenarioSpec spec =
@@ -350,7 +410,7 @@ TEST(ShardContinuation, LegacyCheckpointResumesAt4ThreadsToGolden) {
 
 // ---- Cross-engine divergence bisection ------------------------------------
 
-TEST(ShardBisect, SaveShardedRestoreLegacyNeverDiverges) {
+TEST(ShardBisect, Save8ShardsRestoreOneShardNeverDiverges) {
   Mesh mesh(8, 8);
   const RegionMap regions = RegionMap::halves(mesh);
   const ScenarioSpec spec =
@@ -363,7 +423,7 @@ TEST(ShardBisect, SaveShardedRestoreLegacyNeverDiverges) {
       << "cycle " << res.firstDivergentCycle << " section " << res.section;
 }
 
-TEST(ShardBisect, SaveLegacyRestoreShardedNeverDiverges) {
+TEST(ShardBisect, SaveOneShardRestore3ShardsNeverDiverges) {
   Mesh mesh(8, 8);
   const RegionMap regions = RegionMap::halves(mesh);
   const ScenarioSpec spec =

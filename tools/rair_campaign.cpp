@@ -19,6 +19,7 @@
 #include "campaign/builtin.h"
 #include "campaign/runner.h"
 #include "campaign/store.h"
+#include "cli_args.h"
 #include "fault/plan.h"
 #include "link/link_layer.h"
 #include "metrics/metrics.h"
@@ -61,10 +62,9 @@ void usage(std::FILE* to) {
       "                checkpoint refresh period in cycles (default "
       "25000)\n"
       "  --shard-threads N\n"
-      "                run each cell's simulation on the deterministic\n"
-      "                sharded cycle engine with N threads (composes with\n"
-      "                --jobs; records are byte-identical to\n"
-      "                single-threaded runs; default 0 = off)\n"
+      "                cycle-engine shards per cell (composes with --jobs;\n"
+      "                records are byte-identical for every N; default 0;\n"
+      "                0 or 1: one shard on the calling thread)\n"
       "  --link-layer KIND\n"
       "                ideal (default) | retx: build every channel with\n"
       "                the CRC/retransmission link layer. Ideal-link runs\n"
@@ -132,13 +132,12 @@ bool parseArgs(int argc, char** argv, Args& args) {
     } else if (arg == "--jobs") {
       const char* v = next();
       if (!v) return false;
-      args.jobs = std::atoi(v);
-      if (args.jobs <= 0) return false;
+      if (!rair::cli::parseCount(v, args.jobs) || args.jobs == 0)
+        return false;
     } else if (arg == "--shard-threads") {
       const char* v = next();
       if (!v) return false;
-      args.shardThreads = std::atoi(v);
-      if (args.shardThreads < 0) return false;
+      if (!rair::cli::parseCount(v, args.shardThreads)) return false;
     } else if (arg == "--seed") {
       const char* v = next();
       if (!v) return false;

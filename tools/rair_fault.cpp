@@ -25,6 +25,7 @@
 
 #include "campaign/builtin.h"
 #include "check/oracle.h"
+#include "cli_args.h"
 #include "fault/injector.h"
 #include "fault/plan.h"
 #include "link/link_layer.h"
@@ -64,8 +65,8 @@ void usage(std::FILE* to) {
       "  --seed N      simulation seed (default 1); under --cell this is\n"
       "                the campaign master seed\n"
       "  --fast        5x-shrunk windows (= RAIR_BENCH_FAST=1)\n"
-      "  --threads N   sharded cycle engine with N threads (default 0 =\n"
-      "                single-threaded; results are byte-identical)\n"
+      "  --threads N   cycle-engine shards (default 0; 0 or 1: one shard\n"
+      "                on the calling thread; results are byte-identical)\n"
       "  --link-layer KIND\n"
       "                ideal (default) | retx: build every channel with\n"
       "                the CRC/retransmission link layer. corrupt events\n"
@@ -176,8 +177,7 @@ bool parseArgs(int argc, char** argv, Args& args) {
     } else if (arg == "--p") {
       const char* v = next();
       if (!v) return false;
-      args.p = std::atoi(v);
-      if (args.p < 0 || args.p > 100) return false;
+      if (!rair::cli::parseCount(v, args.p) || args.p > 100) return false;
     } else if (arg == "--seed") {
       const char* v = next();
       if (!v) return false;
@@ -185,8 +185,7 @@ bool parseArgs(int argc, char** argv, Args& args) {
     } else if (arg == "--threads") {
       const char* v = next();
       if (!v) return false;
-      args.threads = std::atoi(v);
-      if (args.threads < 0) return false;
+      if (!rair::cli::parseCount(v, args.threads)) return false;
     } else {
       std::fprintf(stderr, "unknown argument: %s\n", arg.c_str());
       return false;

@@ -16,6 +16,7 @@
 #include <string>
 
 #include "check/fuzz.h"
+#include "cli_args.h"
 
 namespace {
 
@@ -55,10 +56,10 @@ void usage(std::FILE* to) {
       "                       layer (go-back-N, bounded replay buffer)\n"
       "  --repro SEED         replay one case seed (decimal or 0x hex)\n"
       "  --no-shrink          report failures without shrinking\n"
-      "  --shard-threads N    run every case on the sharded cycle engine\n"
-      "                       with N threads (0 = single-threaded,\n"
-      "                       default); outcomes are byte-identical, the\n"
-      "                       engine's barriers run under the oracle\n"
+      "  --shard-threads N    cycle-engine shards per case (default 0;\n"
+      "                       0 or 1: one shard on the calling thread);\n"
+      "                       outcomes are byte-identical, the engine's\n"
+      "                       barriers run under the oracle\n"
       "  --quiet              suppress per-case progress dots\n");
 }
 
@@ -89,8 +90,9 @@ bool parseArgs(int argc, char** argv, Args& args) {
     } else if (arg == "--scenarios") {
       const char* v = next();
       if (!v) return false;
-      args.opts.scenarios = std::atoi(v);
-      if (args.opts.scenarios <= 0) return false;
+      if (!rair::cli::parseCount(v, args.opts.scenarios) ||
+          args.opts.scenarios == 0)
+        return false;
     } else if (arg == "--seed") {
       const char* v = next();
       if (!v) return false;
@@ -122,8 +124,7 @@ bool parseArgs(int argc, char** argv, Args& args) {
     } else if (arg == "--shard-threads") {
       const char* v = next();
       if (!v) return false;
-      args.opts.shardThreads = std::atoi(v);
-      if (args.opts.shardThreads < 0) return false;
+      if (!rair::cli::parseCount(v, args.opts.shardThreads)) return false;
     } else if (arg == "--link-layer") {
       const char* v = next();
       if (!v) return false;

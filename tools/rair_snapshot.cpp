@@ -19,6 +19,7 @@
 #include <cstring>
 #include <string>
 
+#include "cli_args.h"
 #include "scenarios/paper_scenarios.h"
 #include "sim/scenario.h"
 #include "snapshot/bisect.h"
@@ -43,11 +44,10 @@ void usage(std::FILE* to) {
       "  --horizon N    last cycle compared (default 3000)\n"
       "  --shard-threads N\n"
       "                 write the snapshot (and run the straight\n"
-      "                 reference) on the sharded cycle engine with N\n"
-      "                 threads while the restored run continues\n"
-      "                 single-threaded -- verifies checkpoints are\n"
-      "                 thread-count-agnostic (default 0 = both\n"
-      "                 single-threaded)\n");
+      "                 reference) on N cycle-engine shards while the\n"
+      "                 restored run continues on one shard -- verifies\n"
+      "                 checkpoints are thread-count-agnostic (default 0;\n"
+      "                 0 or 1: one shard on the calling thread)\n");
 }
 
 bool schemeByName(const std::string& name, rair::SchemeSpec& out) {
@@ -173,7 +173,10 @@ int main(int argc, char** argv) {
     } else if (arg == "--p") {
       const char* v = next();
       if (!v) { usage(stderr); return 2; }
-      p = std::atoi(v);
+      if (!rair::cli::parseCount(v, p)) {
+        usage(stderr);
+        return 2;
+      }
     } else if (arg == "--seed") {
       const char* v = next();
       if (!v) { usage(stderr); return 2; }
@@ -181,8 +184,10 @@ int main(int argc, char** argv) {
     } else if (arg == "--shard-threads") {
       const char* v = next();
       if (!v) { usage(stderr); return 2; }
-      shardThreads = std::atoi(v);
-      if (shardThreads < 0) { usage(stderr); return 2; }
+      if (!rair::cli::parseCount(v, shardThreads)) {
+        usage(stderr);
+        return 2;
+      }
     } else if (arg == "--snap-at") {
       const char* v = next();
       if (!v) { usage(stderr); return 2; }
