@@ -115,10 +115,24 @@ void NetworkOracle::scanNow(Cycle now) {
 
 void NetworkOracle::finish(Cycle now) {
   scanNow(now);
-  if (ledger_->empty() && !net_->quiescent())
+  if (ledger_->empty() && holdsTraffic())
     violation(now,
               "ledger fully drained but the network still holds traffic "
               "(orphaned flits or undrained VC state)");
+}
+
+bool NetworkOracle::holdsTraffic() const {
+  // Not Network::quiescent(): a run may stop the cycle its last packet is
+  // delivered, while that ejection's credit (or a retx ACK) is still on
+  // its return wire. Those are not traffic; flits and VC state are.
+  const int numNodes = net_->mesh().numNodes();
+  for (NodeId n = 0; n < numNodes; ++n)
+    if (!net_->router(n).quiescent() || !net_->nic(n).quiescent())
+      return true;
+  bool flitInFlight = false;
+  for (const LinkLayer* l : net_->links())
+    l->forEachFlit([&flitInFlight](const FlitMsg&) { flitInFlight = true; });
+  return flitInFlight;
 }
 
 void NetworkOracle::structuralScan(Cycle now) {

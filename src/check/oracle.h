@@ -147,6 +147,8 @@ class NetworkOracle final : public SimObserver {
   };
 
   void violation(Cycle now, std::string what);
+  /// Whether any router, NIC or link still holds a flit or VC state.
+  bool holdsTraffic() const;
 
   void structuralScan(Cycle now);
   void scanRouter(Cycle now, NodeId n);

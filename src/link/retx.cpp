@@ -1,5 +1,7 @@
 #include "link/retx.h"
 
+#include <algorithm>
+
 #include "snapshot/codec.h"
 
 namespace rair {
@@ -16,6 +18,7 @@ RetxLink::RetxLink(Cycle latency, std::size_t replayCapacity)
 // ---- Sender side -------------------------------------------------------
 
 void RetxLink::vSendFlit(Cycle, const Flit& f, int vc) {
+  applyPendingCtl();
   // The credit loop bounds un-ACKed occupancy below the capacity the
   // network sized us with; overflow means flow control is broken.
   RAIR_CHECK_MSG(replay_.size() < replayCap_, "retx replay buffer overflow");
@@ -31,17 +34,28 @@ void RetxLink::retireAcked(std::uint64_t seq) {
   }
 }
 
-void RetxLink::applyCtl(const RevMsg& m) {
-  if (m.kind == RevKind::Ack) {
-    retireAcked(m.seq);
-  } else {
-    RAIR_DCHECK(m.kind == RevKind::Nak);
+void RetxLink::noteCtl(const RevMsg& m) {
+  if (m.kind == RevKind::Nak) {
     // Go-back-N: everything below m.seq was delivered (the NAK is
-    // cumulative too); rewind the pump over the rest.
-    while (!replay_.empty() && replay_.front().seq < m.seq)
+    // cumulative too); the pump rewinds to whatever head is left once
+    // every control message so far has retired its prefix.
+    rewindPending_ = true;
+    rewindTo_ = std::max(ackTo_, m.seq);
+    ackTo_ = rewindTo_;
+  } else {
+    ackTo_ = std::max(ackTo_, m.seq);
+  }
+}
+
+void RetxLink::applyPendingCtl() {
+  if (rewindPending_) {
+    while (!replay_.empty() && replay_.front().seq < rewindTo_)
       replay_.pop_front();
     cursor_ = 0;
+    rewindPending_ = false;
   }
+  retireAcked(ackTo_);
+  ackTo_ = 0;
 }
 
 void RetxLink::pump(Cycle now) {
@@ -62,15 +76,16 @@ void RetxLink::pump(Cycle now) {
 
 const CreditMsg* RetxLink::vPeekCredit(Cycle now) {
   // Piggybacked ACK/NAK control is consumed transparently here; the
-  // caller only ever sees credits (whose own cumulative ACK is applied
-  // before they surface — idempotent across repeated peeks).
+  // caller only ever sees credits (whose own cumulative ACK is noted
+  // before they surface — idempotent across repeated peeks). Noting only:
+  // this runs in phase A, while the receiver may be reading the replay
+  // buffer from another shard.
   while (const RevMsg* m = rev_.peek(now)) {
+    noteCtl(*m);
     if (m->kind == RevKind::Credit) {
-      retireAcked(m->seq);
       creditScratch_.vc = m->vc;
       return &creditScratch_;
     }
-    applyCtl(*m);
     rev_.popFront();
   }
   return nullptr;
@@ -79,9 +94,11 @@ const CreditMsg* RetxLink::vPeekCredit(Cycle now) {
 void RetxLink::vPopCredit() { rev_.popFront(); }
 
 void RetxLink::vTickUpstream(Cycle now) {
-  // Control was already applied by this cycle's credit poll (every
-  // upstream endpoint drains peekCredit each cycle); touching the reverse
-  // wire here would race the downstream endpoint's same-phase pushes.
+  // Control was already polled by this cycle's peekCredit (every upstream
+  // endpoint drains it each cycle); touching the reverse wire here would
+  // race the downstream endpoint's same-phase pushes. Its replay-buffer
+  // effects land now, before the pump reads the cursor.
+  applyPendingCtl();
   pump(now);
 }
 
@@ -235,6 +252,8 @@ constexpr std::uint8_t kRetxSectionVersion = 2;
 }  // namespace
 
 void RetxLink::save(snapshot::Writer& w) const {
+  // Saves happen between cycles, after every sender's tickUpstream.
+  RAIR_CHECK_MSG(!ctlPending(), "retx save with unapplied link control");
   w.u8(kRetxSectionVersion);
   snapshot::saveDelayPipe(w, fwd_,
                           [](snapshot::Writer& w2, const WireFlit& wf) {
@@ -297,6 +316,8 @@ void RetxLink::restore(snapshot::Reader& r) {
   receiverDown_ = r.boolean();
   corrupted_ = r.u64();
   retransmitted_ = r.u64();
+  ackTo_ = 0;
+  rewindPending_ = false;
 }
 
 }  // namespace rair

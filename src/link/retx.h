@@ -28,7 +28,16 @@
 // Determinism. Both wires and all layer state are owned by the enclosing
 // link object, and the engine-phase discipline in link_layer.h means each
 // wire is mutated by exactly one endpoint in exactly one phase — recovery
-// schedules are byte-identical across shard-thread counts.
+// schedules are byte-identical across shard-thread counts. The replay
+// buffer follows the same rule: the receiver reads payloads out of it in
+// phase A, so control polled in phase A (peekCredit) only records the
+// cumulative ACK/NAK as sender-side scalars, and the pops it implies run
+// at the sender's phase-B entry points (sendFlit, tickUpstream). On
+// router->router links the buffer is thereby only read in phase A and
+// only written in phase B. The NIC->router inject link is written in
+// phase A (Nic::tick sends and pumps there), before its own router's
+// beginCycle reads it, which is race-free only because both run one after
+// the other on the same shard.
 #pragma once
 
 #include <cstdint>
@@ -82,9 +91,12 @@ class RetxLink final : public LinkLayer {
   /// seq == expectSeq_) is guaranteed to still have its replay entry
   /// (entries retire only on a cumulative ACK, which the receiver cannot
   /// have sent before accepting seq), so the receiver reads the FlitMsg
-  /// straight out of the replay buffer. Phase-safe: the replay buffer is
-  /// written in phase A (sender) and read in phase B (receiver), the
-  /// same one-endpoint-per-phase discipline every wire follows.
+  /// straight out of the replay buffer. Phase-safe: on router->router
+  /// links the replay buffer is written in phase B (sender: append, pump,
+  /// deferred retirement) and read in phase A (receiver), the same
+  /// one-endpoint-per-phase discipline every wire follows; the NIC inject
+  /// link writes it in phase A, on the same shard and before its router
+  /// reads it (see the file comment).
   struct WireFlit {
     std::uint64_t seq = 0;
     bool corrupt = false;
@@ -115,7 +127,12 @@ class RetxLink final : public LinkLayer {
   };
 
   void retireAcked(std::uint64_t seq);
-  void applyCtl(const RevMsg& m);
+  /// Records one polled control message in the pending scalars (phase A;
+  /// touches no replay entry).
+  void noteCtl(const RevMsg& m);
+  /// Applies the recorded control to the replay buffer (phase B).
+  void applyPendingCtl();
+  bool ctlPending() const { return ackTo_ != 0 || rewindPending_; }
   void pump(Cycle now);
 
   std::size_t replayCap_;
@@ -131,6 +148,13 @@ class RetxLink final : public LinkLayer {
   std::uint64_t wireHigh_ = 0;  ///< 1 + highest seq ever pumped
   int corruptPending_ = 0;      ///< flits still to corrupt at the pump
   CreditMsg creditScratch_;     ///< backing for peekCredit's return
+  // Control polled this cycle, not yet applied (never set at a cycle
+  // boundary, so not serialized). Cumulative ACKs compose as a maximum;
+  // a go-back NAK resets the pump cursor to the head left by every
+  // control message up to the latest NAK, and later ACKs only retire.
+  std::uint64_t ackTo_ = 0;     ///< retire every entry with seq below this
+  bool rewindPending_ = false;  ///< a NAK arrived: rewind the pump
+  std::uint64_t rewindTo_ = 0;  ///< retire below this before the rewind
 
   // Receiver state.
   std::uint64_t expectSeq_ = 0;  ///< next in-order sequence to accept

@@ -111,7 +111,7 @@ std::vector<double> calibrateLoads(const Mesh& mesh, const RegionMap& regions,
   // Joint in-context calibration of the high apps: scale them together
   // (u = 1 corresponds to each running at its solo saturation) with the
   // low apps active, and find the knee of the high apps' mean APL.
-  auto aplAtScale = [&](double u) {
+  auto aplAtScale = [&](double u, double ceiling) {
     SimConfig cfg;
     cfg.warmupCycles = opts.warmupCycles;
     cfg.measureCycles = opts.measureCycles;
@@ -119,10 +119,15 @@ std::vector<double> calibrateLoads(const Mesh& mesh, const RegionMap& regions,
     std::vector<AppTrafficSpec> apps = shapes;
     for (std::size_t i = 0; i < n; ++i) apps[i].injectionRate = rates[i];
     for (std::size_t i : highApps) apps[i].injectionRate = u * soloSat[i];
-    const auto res = runScenario(ScenarioSpec(mesh, regions)
-                                     .withConfig(cfg)
-                                     .withScheme(schemeRoRr())
-                                     .withApps(std::move(apps)));
+    // The bound averages the high apps in the order the sum below does.
+    std::vector<AppId> ceilingApps;
+    for (std::size_t i : highApps) ceilingApps.push_back(static_cast<AppId>(i));
+    const auto res = runScenario(
+        ScenarioSpec(mesh, regions)
+            .withConfig(cfg)
+            .withScheme(schemeRoRr())
+            .withApps(std::move(apps))
+            .withLatencyCeiling(ceiling, std::move(ceilingApps)));
     if (!res.run.fullyDrained)
       return std::numeric_limits<double>::infinity();
     double sum = 0;

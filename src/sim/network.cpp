@@ -24,6 +24,7 @@ Network::Network(const Mesh& mesh, const RegionMap& regions,
               config.globalVcsPerClass),
       routing_(makeRouting(routingKind, &regions)),
       policy_(&policy),
+      sideBand_(routingKind == RoutingKind::Dbar),
       maxHops_(std::max(mesh.width(), mesh.height()) - 1) {
   const RouterConfig rc{layout_, config_.vcDepth, config_.atomicVcs};
   routers_.reserve(static_cast<size_t>(mesh.numNodes()));
@@ -142,14 +143,16 @@ void Network::phaseInjectRoute(Cycle now, NodeId begin, NodeId end) {
   }
 }
 
-void Network::phaseRetireCongestion() { std::swap(agg_, aggPrev_); }
+void Network::phaseRetireCongestion() {
+  if (sideBand_) std::swap(agg_, aggPrev_);
+}
 
 void Network::phaseTraversePropagate(Cycle now, NodeId begin, NodeId end) {
   for (NodeId n = begin; n < end; ++n) {
     Router& r = routers_[static_cast<size_t>(n)];
     r.switchAllocateAndTraverse(now);
     r.endCycle(now);
-    propagateCongestionRow(n);
+    if (sideBand_) propagateCongestionRow(n);
   }
 }
 
@@ -235,6 +238,10 @@ void Network::restore(snapshot::Reader& r) {
   for (int& v : agg_) v = r.i32();
   for (int& v : aggPrev_) v = r.i32();
   r.endSection();
+  if (!sideBand_) {
+    std::fill(agg_.begin(), agg_.end(), 0);
+    std::fill(aggPrev_.begin(), aggPrev_.end(), 0);
+  }
   for (std::size_t i = 0; i < routers_.size(); ++i) {
     r.beginSection(elementSection("router", i));
     routers_[i].restore(r);

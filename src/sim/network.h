@@ -1,5 +1,6 @@
 // The assembled on-chip network: routers, NICs, links, and the side-band
-// congestion-information network used by non-local adaptive routing.
+// congestion-information network used by non-local adaptive routing
+// (computed only for DBAR, its one reader).
 #pragma once
 
 #include <memory>
@@ -74,10 +75,12 @@ class Network final : public CongestionView {
   void phaseInjectRoute(Cycle now, NodeId begin, NodeId end);
   /// Run once between phase A and phase B: retires the congestion table
   /// (current aggregates become the previous-cycle values phase B reads).
+  /// A no-op unless the side-band is live (DBAR routing).
   void phaseRetireCongestion();
   /// Fused phase B over [begin, end): switchAllocateAndTraverse / endCycle
-  /// per node, then the node's congestion-aggregate row (own free-VC count
-  /// combined with the neighbors' retired previous-cycle rows).
+  /// per node, then — DBAR only — the node's congestion-aggregate row (own
+  /// free-VC count combined with the neighbors' retired previous-cycle
+  /// rows).
   void phaseTraversePropagate(Cycle now, NodeId begin, NodeId end);
 
   Nic& nic(NodeId n) { return nics_[static_cast<size_t>(n)]; }
@@ -117,6 +120,10 @@ class Network final : public CongestionView {
   /// Snapshot hooks: one named section per hardware element plus the
   /// side-band congestion network. Wiring and config are reconstructed,
   /// not serialized — restore() requires an identically built network.
+  /// Without a live side-band the "net/agg" section is written as zeros
+  /// and read back as zeros whatever it holds, so a snapshot from a build
+  /// that still propagated it for every routing kind restores and re-saves
+  /// to the bytes this build writes.
   void save(snapshot::Writer& w) const;
   void restore(snapshot::Reader& r);
 
@@ -146,13 +153,17 @@ class Network final : public CongestionView {
   std::vector<LinkLayer*> links_;
 
   // Mesh adjacency flattened once at construction: [node][4 router dirs]
-  // -> neighbor id or -1. propagateCongestionRow runs every cycle and
-  // would otherwise recompute coordinate arithmetic per (node, dir).
+  // -> neighbor id or -1. propagateCongestionRow runs every cycle under
+  // DBAR and would otherwise recompute coordinate arithmetic per
+  // (node, dir).
   std::vector<NodeId> neighborTable_;
 
   // Side-band congestion network. agg_[n][d][h] = sum of free adaptive VC
   // counts through port d over routers n, n+1d, ... n+hd (h+1 terms), with
   // the h-hop term h cycles old (one-hop-per-cycle wire propagation).
+  // Only DbarRouting reads it (aggregatedFree), so for every other routing
+  // kind sideBand_ is false and both tables stay zero.
+  bool sideBand_;
   int maxHops_;
   std::vector<int> agg_;      // [node][4 dirs][maxHops_]
   std::vector<int> aggPrev_;  // previous cycle's values

@@ -1,15 +1,20 @@
 #include "sim/saturation.h"
 
+#include <cmath>
 #include <limits>
 
 #include "common/assert.h"
 
 namespace rair {
 
-double findSaturationRate(const std::function<double(double)>& aplAtRate,
+double findSaturationRate(const LatencyProbe& aplAtRate,
                           const SaturationOptions& opts) {
-  const double zeroLoad = aplAtRate(opts.zeroLoadRate);
-  RAIR_CHECK_MSG(zeroLoad > 0.0, "zero-load latency measurement failed");
+  const double zeroLoad =
+      aplAtRate(opts.zeroLoadRate, std::numeric_limits<double>::infinity());
+  RAIR_CHECK_MSG(std::isfinite(zeroLoad) && zeroLoad > 0.0,
+                 "zero-load latency probe failed (no packets measured or "
+                 "the network did not drain); raise drainLimit or lower "
+                 "zeroLoadRate");
   const double knee = opts.kneeFactor * zeroLoad;
 
   // Geometric scan for the first saturated rate.
@@ -17,7 +22,7 @@ double findSaturationRate(const std::function<double(double)>& aplAtRate,
   double firstBad = -1.0;
   for (double rate = opts.startRate; rate <= opts.maxRate;
        rate *= opts.growth) {
-    if (aplAtRate(rate) > knee) {
+    if (aplAtRate(rate, knee) > knee) {
       firstBad = rate;
       break;
     }
@@ -28,7 +33,7 @@ double findSaturationRate(const std::function<double(double)>& aplAtRate,
   // Bisect the knee.
   for (int i = 0; i < opts.bisectIters; ++i) {
     const double mid = 0.5 * (lastGood + firstBad);
-    if (aplAtRate(mid) > knee) {
+    if (aplAtRate(mid, knee) > knee) {
       firstBad = mid;
     } else {
       lastGood = mid;
@@ -37,10 +42,16 @@ double findSaturationRate(const std::function<double(double)>& aplAtRate,
   return 0.5 * (lastGood + firstBad);
 }
 
+double findSaturationRate(const std::function<double(double)>& aplAtRate,
+                          const SaturationOptions& opts) {
+  return findSaturationRate(
+      [&aplAtRate](double rate, double) { return aplAtRate(rate); }, opts);
+}
+
 double appSaturationRate(const Mesh& mesh, const RegionMap& regions,
                          AppTrafficSpec app, const SaturationOptions& opts,
                          RoutingKind routing) {
-  auto aplAtRate = [&](double rate) {
+  auto aplAtRate = [&](double rate, double ceiling) {
     SimConfig cfg;
     cfg.warmupCycles = opts.warmupCycles;
     cfg.measureCycles = opts.measureCycles;
@@ -59,9 +70,10 @@ double appSaturationRate(const Mesh& mesh, const RegionMap& regions,
                                      .withConfig(cfg)
                                      .withScheme(scheme)
                                      .withApps(std::move(apps))
-                                     .withWarmCache(opts.warmCacheDir));
+                                     .withWarmCache(opts.warmCacheDir)
+                                     .withLatencyCeiling(ceiling, {app.app}));
     if (!res.run.fullyDrained) {
-      // Could not drain: far past saturation.
+      // Could not drain, or proven above the ceiling: saturated.
       return std::numeric_limits<double>::infinity();
     }
     return res.appApl[static_cast<size_t>(app.app)];

@@ -33,9 +33,22 @@ struct SaturationOptions {
   std::string warmCacheDir;
 };
 
-/// Generic knee finder over a monotone latency-vs-rate curve.
-/// `aplAtRate(rate)` must return the mean latency at the given injection
-/// rate, or a huge value / +inf when the network failed to drain.
+/// A saturation probe: `aplAtRate(rate, ceiling)` returns the mean latency
+/// at the given injection rate, or a huge value / +inf when the network
+/// failed to drain. Only the verdict against `ceiling` matters, so once a
+/// probe has proven that its final APL would exceed `ceiling` it may stop
+/// and return any value above it. The zero-load probe gets +inf (its value
+/// sets the knee); every scan and bisection probe gets kneeFactor x
+/// zero-load.
+using LatencyProbe = std::function<double(double rate, double ceiling)>;
+
+/// Generic knee finder over a monotone latency-vs-rate curve. The
+/// zero-load probe must return a finite, positive latency.
+double findSaturationRate(const LatencyProbe& aplAtRate,
+                          const SaturationOptions& opts = {});
+
+/// Adapter for probes without early verdicts: `aplAtRate(rate)` always
+/// returns the full-run latency.
 double findSaturationRate(const std::function<double(double)>& aplAtRate,
                           const SaturationOptions& opts = {});
 

@@ -137,6 +137,14 @@ struct ScenarioSpec {
     config.shardThreads = n;
     return *this;
   }
+  /// Stops the run once the mean APL over `apps` is proven to end above
+  /// `apl` (SimConfig::latencyCeiling; +inf disarms). Saturation probes
+  /// use it; it only shortens the drain and is excluded from warm/full
+  /// scenario keys. Must not be combined with a fault plan.
+  ScenarioSpec& withLatencyCeiling(double apl, std::vector<AppId> apps) {
+    config.latencyCeiling = LatencyCeiling{apl, std::move(apps)};
+    return *this;
+  }
   ScenarioSpec& withMetrics(const metrics::MetricsOptions& m) {
     metrics = m;
     return *this;

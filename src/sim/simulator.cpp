@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cinttypes>
 #include <cstdio>
+#include <utility>
 
 #include "common/assert.h"
 #include "snapshot/codec.h"
@@ -14,6 +15,7 @@ const char* terminationName(Termination t) {
     case Termination::Drained: return "drained";
     case Termination::DrainLimit: return "drain_limit";
     case Termination::ProgressTimeout: return "progress_timeout";
+    case Termination::LatencyCeiling: return "latency_ceiling";
   }
   return "unknown";
 }
@@ -22,6 +24,7 @@ std::optional<Termination> terminationFromName(std::string_view name) {
   if (name == "drained") return Termination::Drained;
   if (name == "drain_limit") return Termination::DrainLimit;
   if (name == "progress_timeout") return Termination::ProgressTimeout;
+  if (name == "latency_ceiling") return Termination::LatencyCeiling;
   return std::nullopt;
 }
 
@@ -272,13 +275,38 @@ void Simulator::restore(snapshot::Reader& r) {
   }
 }
 
+double Simulator::ceilingAplLowerBound() const {
+  // Per app: measured packets still in flight and their summed ages.
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> live(
+      static_cast<size_t>(stats_.numApps()));
+  ledger_.forEachLive([&](const Packet& p) {
+    if (!stats_.inMeasurementWindow(p.createCycle)) return;
+    auto& [count, age] = live[static_cast<size_t>(p.app)];
+    ++count;
+    age += now_ - p.createCycle;
+  });
+  const std::vector<AppId>& apps = config_.latencyCeiling.apps;
+  double sum = 0.0;
+  for (const AppId a : apps) {
+    const auto& [count, age] = live[static_cast<size_t>(a)];
+    sum += stats_.aplLowerBound(a, count, age);
+  }
+  return sum / static_cast<double>(apps.size());
+}
+
 RunResult Simulator::run() {
   const Cycle measureEnd = config_.warmupCycles + config_.measureCycles;
   const Cycle hardStop = measureEnd + config_.drainLimit;
+  const LatencyCeiling& ceiling = config_.latencyCeiling;
+  RAIR_CHECK_MSG(!ceiling.armed() || !ceiling.apps.empty(),
+                 "latency ceiling without apps");
+  RAIR_CHECK_MSG(!ceiling.armed() || faultHook_ == nullptr,
+                 "latency ceiling with a fault hook: drops void the bound");
   begin();
 
   bool drained = false;
   bool stalled = false;
+  bool ceilinged = false;
 
   while (now_ < hardStop) {
     const Cycle cur = now_;
@@ -300,9 +328,17 @@ RunResult Simulator::run() {
       break;
     }
 
-    if (cur + 1 >= measureEnd && stats_.measuredInFlight() == 0) {
-      drained = true;
-      break;
+    if (cur + 1 >= measureEnd) {
+      if (stats_.measuredInFlight() == 0) {
+        drained = true;
+        break;
+      }
+      // The measured count is final from here on, so the bound holds:
+      // every packet still in flight is delivered at now_ or later.
+      if (ceiling.armed() && ceilingAplLowerBound() > ceiling.apl) {
+        ceilinged = true;
+        break;
+      }
     }
   }
 
@@ -310,9 +346,10 @@ RunResult Simulator::run() {
   r.stats = std::move(stats_);
   r.cyclesRun = now_;
   r.fullyDrained = drained;
-  r.termination = drained ? Termination::Drained
-                          : (stalled ? Termination::ProgressTimeout
-                                     : Termination::DrainLimit);
+  r.termination = drained     ? Termination::Drained
+                  : stalled   ? Termination::ProgressTimeout
+                  : ceilinged ? Termination::LatencyCeiling
+                              : Termination::DrainLimit;
   r.packetsCreated = created_;
   r.packetsDelivered = delivered_;
   r.flitHops = net_->totalFlitsTraversed();

@@ -6,6 +6,7 @@
 
 #include <cstddef>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <queue>
@@ -28,6 +29,20 @@ class Reader;
 
 namespace rair {
 
+/// Early-verdict stop for saturation probes (sim/saturation.h). A probe
+/// only needs to know whether the run's APL — the mean over `apps` of each
+/// app's APL — ends above `apl`. Once the measurement window has closed,
+/// the simulator bounds that final value from below
+/// (StatsCollector::aplLowerBound) and stops as soon as the bound exceeds
+/// `apl`, reporting Termination::LatencyCeiling. Unarmed (the default,
+/// +inf) the run is unchanged. Incompatible with a fault hook: drops leave
+/// the measured set and would invalidate the bound.
+struct LatencyCeiling {
+  double apl = std::numeric_limits<double>::infinity();
+  std::vector<AppId> apps;
+  bool armed() const { return apl < std::numeric_limits<double>::infinity(); }
+};
+
 struct SimConfig {
   NetworkConfig net;
   RoutingKind routing = RoutingKind::LocalAdaptive;
@@ -43,6 +58,9 @@ struct SimConfig {
   /// every value. Excluded from scenario snapshot keys — checkpoints are
   /// thread-count-agnostic.
   int shardThreads = 0;
+  /// Stop once the APL verdict against this ceiling is proven. Excluded
+  /// from scenario snapshot keys: it only ends the drain early.
+  LatencyCeiling latencyCeiling;
 };
 
 /// How a run ended. Callers that must distinguish a clean drain from a
@@ -53,10 +71,12 @@ enum class Termination : std::uint8_t {
   DrainLimit,       ///< drain-limit hard stop with measured packets in flight
   ProgressTimeout,  ///< deadlock/livelock tripwire: no flit moved and
                     ///< nothing was delivered for `progressTimeout` cycles
+  LatencyCeiling,   ///< the APL was proven to end above the configured
+                    ///< latency ceiling (SimConfig::latencyCeiling)
 };
 
-/// Stable lowercase name ("drained" / "drain_limit" / "progress_timeout"),
-/// used in campaign JSON records.
+/// Stable lowercase name ("drained" / "drain_limit" / "progress_timeout" /
+/// "latency_ceiling"), used in campaign JSON records.
 const char* terminationName(Termination t);
 
 /// Inverse of terminationName; nullopt for unknown names.
@@ -257,6 +277,12 @@ class Simulator final : public InjectionSink {
  private:
   /// Applies one NIC event, replayed by the cycle engine, to the ledger.
   void onNicEvent(const NicEventRecord& e);
+
+  /// Lower bound on the final mean APL over the latency ceiling's apps
+  /// (summed and divided in the order a probe averages them), from the
+  /// collected latencies plus the ages of the measured packets still in
+  /// the ledger; meaningful once the measurement window has closed.
+  double ceilingAplLowerBound() const;
 
   /// The snapshot predicate as a begin-of-cycle observer: fires the hook
   /// when the save point or the periodic interval is due.

@@ -34,6 +34,14 @@ void StatsCollector::onPacketDropped(const Packet& p) {
   if (inMeasurementWindow(p.createCycle)) ++measuredDropped_;
 }
 
+double StatsCollector::aplLowerBound(AppId a, std::uint64_t inFlight,
+                                     std::uint64_t inFlightAge) const {
+  const LatencyStats& lat = app(a).totalLatency;
+  const std::uint64_t count = lat.count() + inFlight;
+  const double sum = lat.sum() + static_cast<double>(inFlightAge);
+  return count ? sum / static_cast<double>(count) : 0.0;
+}
+
 AppStats StatsCollector::overall() const {
   AppStats agg;
   for (const auto& s : perApp_) {

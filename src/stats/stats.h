@@ -84,6 +84,18 @@ class StatsCollector {
   /// APL of one application.
   double appApl(AppId a) const { return app(a).totalLatency.mean(); }
 
+  /// Lower bound on the APL app `a` will report once its `inFlight`
+  /// measured packets still in flight have been delivered, given that they
+  /// have already waited `inFlightAge` cycles in total (sum of now -
+  /// createCycle): (latency sum so far + inFlightAge) / measured count, in
+  /// the floating-point expression of Histogram::mean(). Latencies are
+  /// integral and their sums stay below 2^53, so the numerator is exact
+  /// and the rounded quotient is <= the final APL bit for bit. Valid only
+  /// once the measurement window has closed (the measured count is final)
+  /// and while nothing is dropped.
+  double aplLowerBound(AppId a, std::uint64_t inFlight,
+                       std::uint64_t inFlightAge) const;
+
   /// Snapshot hooks. restore() requires a collector constructed with the
   /// same numApps as the one saved.
   void save(snapshot::Writer& w) const;

@@ -4,6 +4,7 @@
 
 #include "policy/policy.h"
 #include "sim/network.h"
+#include "snapshot/buffer.h"
 
 namespace rair {
 namespace {
@@ -39,7 +40,8 @@ TEST(CongestionInfo, AggregationNeedsPropagationTime) {
   Mesh m(8, 1);
   const auto rm = RegionMap::halves(m);
   RoundRobinPolicy policy;
-  Network net(m, rm, cfg(), RoutingKind::LocalAdaptive, policy);
+  // The aggregates are computed only for DBAR, their one reader.
+  Network net(m, rm, cfg(), RoutingKind::Dbar, policy);
   // Before any cycle, the aggregate tables hold zeros.
   EXPECT_EQ(net.aggregatedFree(0, Dir::East, 3), 0);
   // After one cycle only the 1-hop term is live (4 free VCs); the deeper
@@ -58,7 +60,7 @@ TEST(CongestionInfo, HorizonClampsAtMeshEdge) {
   Mesh m(4, 4);
   const auto rm = RegionMap::halves(m);
   RoundRobinPolicy policy;
-  Network net(m, rm, cfg(), RoutingKind::LocalAdaptive, policy);
+  Network net(m, rm, cfg(), RoutingKind::Dbar, policy);
   for (Cycle t = 0; t < 6; ++t) net.step(t);
   // From (1,1) eastward only 2 more routers exist; a huge horizon is
   // clamped to the stored maximum (width-1 = 3 hops), and hops beyond the
@@ -70,6 +72,69 @@ TEST(CongestionInfo, HorizonClampsAtMeshEdge) {
   // 3-hop aggregate counts ports (1,1)E, (2,1)E, (3,1)E; the last is an
   // edge port contributing 0.
   EXPECT_EQ(h3, 8);
+}
+
+TEST(CongestionInfo, SideBandIsOffWithoutDbar) {
+  // XY and local-adaptive routing never read the aggregates, so the
+  // network skips their propagation and the tables stay zero — in the
+  // live network and in its snapshot.
+  Mesh m(8, 1);
+  const auto rm = RegionMap::halves(m);
+  RoundRobinPolicy policy;
+  for (const RoutingKind kind :
+       {RoutingKind::Xy, RoutingKind::LocalAdaptive}) {
+    Network net(m, rm, cfg(), kind, policy);
+    for (Cycle t = 0; t < 5; ++t) net.step(t);
+    EXPECT_EQ(net.freeVcsThrough(0, Dir::East), 4);
+    EXPECT_EQ(net.aggregatedFree(0, Dir::East, 1), 0);
+    EXPECT_EQ(net.aggregatedFree(0, Dir::East, 5), 0);
+  }
+}
+
+TEST(CongestionInfo, StaleSideBandInSnapshotRestoresAsZeros) {
+  // A snapshot from a build that propagated the side-band for every
+  // routing kind carries non-zero "net/agg" rows for a local-adaptive
+  // network. Restoring it must ignore them, so the state re-saves to the
+  // exact bytes this build writes.
+  Mesh m(8, 1);
+  const auto rm = RegionMap::halves(m);
+  RoundRobinPolicy policy;
+  Network live(m, rm, cfg(), RoutingKind::LocalAdaptive, policy);
+  for (Cycle t = 0; t < 5; ++t) live.step(t);
+  snapshot::Writer current;
+  live.save(current);
+
+  // "net/agg" is the first section; splice a stale copy in front of the
+  // rest of the current bytes.
+  const std::uint32_t aggSize = 8 * 4 * 7;  // nodes x dirs x maxHops
+  auto aggSection = [&](int value) {
+    snapshot::Writer w;
+    w.beginSection("net/agg");
+    w.u32(aggSize);
+    for (std::uint32_t i = 0; i < 2 * aggSize; ++i) w.i32(value);
+    w.endSection();
+    return w.payload();
+  };
+  const std::size_t aggBytes = aggSection(0).size();
+  ASSERT_EQ(std::vector<std::uint8_t>(current.payload().begin(),
+                                      current.payload().begin() +
+                                          static_cast<std::ptrdiff_t>(
+                                              aggBytes)),
+            aggSection(0));
+  std::vector<std::uint8_t> stale = aggSection(7);
+  stale.insert(stale.end(),
+               current.payload().begin() +
+                   static_cast<std::ptrdiff_t>(aggBytes),
+               current.payload().end());
+
+  Network restored(m, rm, cfg(), RoutingKind::LocalAdaptive, policy);
+  snapshot::Reader r(stale);
+  restored.restore(r);
+  EXPECT_TRUE(r.atEnd());
+  EXPECT_EQ(restored.aggregatedFree(0, Dir::East, 3), 0);
+  snapshot::Writer resaved;
+  restored.save(resaved);
+  EXPECT_EQ(resaved.payload(), current.payload());
 }
 
 TEST(CongestionInfo, OccupiedVcsReduceTheCount) {

@@ -12,6 +12,7 @@
 #include "check/fuzz.h"
 #include "sim/scenario.h"
 #include "sim/simulator.h"
+#include "sim_test_util.h"
 #include "traffic/generator.h"
 
 namespace rair {
@@ -153,6 +154,47 @@ TEST(Oracle, FinishFlagsUndrainedTrafficOnEmptyLedger) {
   ASSERT_GT(fx.sim->inFlight(), 0u);
   oracle.finish(fx.sim->now());
   EXPECT_TRUE(oracle.report().ok()) << oracle.report().summary();
+}
+
+TEST(Oracle, FinishAcceptsCreditsStillOnTheWire) {
+  // A run may end the cycle its last packet is delivered: the ledger is
+  // empty while the ejection's credit is still on its return wire. That
+  // is not traffic. A flit the ledger does not know about still is.
+  Mesh mesh(4, 4);
+  const RegionMap regions = RegionMap::halves(mesh);
+  RoundRobinPolicy policy;
+  Simulator sim(mesh, regions, testutil::fastConfig(), policy, 1);
+  check::OracleOptions oo;
+  oo.failFast = false;
+  check::NetworkOracle oracle(sim.network(), sim.ledger(), oo);
+  sim.observers().attach(&oracle);
+  sim.injectAt(0, 0, 5, 0, MsgClass::Request, 3);
+  sim.begin();
+  sim.stepCycle();
+  while (sim.inFlight() > 0) sim.stepCycle();
+  ASSERT_FALSE(sim.network().quiescent());  // the credit is in flight
+  oracle.finish(sim.now());
+  EXPECT_TRUE(oracle.report().ok()) << oracle.report().summary();
+
+  // A bare network with a packet its (empty) ledger never issued.
+  Network net(mesh, regions, NetworkConfig{}, RoutingKind::LocalAdaptive,
+              policy);
+  const PacketPool emptyLedger;
+  check::NetworkOracle orphanOracle(net, emptyLedger, oo);
+  Packet orphan;
+  orphan.id = 12345;
+  orphan.src = 0;
+  orphan.dst = 5;
+  orphan.app = 0;
+  orphan.numFlits = 3;
+  net.nic(0).enqueue(orphan);
+  for (Cycle t = 0; t < 3; ++t) net.step(t);
+  orphanOracle.finish(3);
+  bool flagged = false;
+  for (const auto& v : orphanOracle.report().violations)
+    flagged = flagged || v.what.find("ledger fully drained") !=
+                             std::string::npos;
+  EXPECT_TRUE(flagged) << orphanOracle.report().summary();
 }
 
 TEST(FuzzHarness, CaseGenerationIsDeterministic) {
