@@ -5,10 +5,17 @@
 // This is the repo's performance baseline: CI runs it in Release mode and
 // tools/perf_check.py fails the build on a large regression against the
 // checked-in BENCH_core_hotpath.json (see EXPERIMENTS.md, "Performance
-// baseline"). Regenerate the baseline on intentional perf changes with:
+// baseline"). Every rate is per *wall* second (UseRealTime), so sharded
+// runs are not flattered by main-thread CPU time, and every benchmark runs
+// kRepetitions times; perf_check.py compares per-name medians of the raw
+// repetitions. Regenerate the baseline on intentional perf changes with
+// this one command, from a Release build:
 //
-//   ./build/bench/core_hotpath --benchmark_format=json \
+//   ./build/bench/core_hotpath --benchmark_format=json
 //       --benchmark_out=BENCH_core_hotpath.json
+//
+// then restore the file's "provenance" block (commit, build type, usable
+// core count of the recording host).
 //
 // The workload is the fig09 p=100 cell shape (App 0 fully inter-region at
 // 10% of half-mesh saturation, App 1 local) with App 1 swept across the
@@ -35,6 +42,13 @@ constexpr double kHalfSat = 0.38195418397913583;
 
 constexpr Cycle kWarmupCycles = 5'000;
 constexpr Cycle kCyclesPerIteration = 10'000;
+constexpr int kRepetitions = 3;
+
+/// Registration shared by every benchmark below: kIsRate counters divide
+/// by wall time, and repetitions give perf_check.py a median to compare.
+void wallClock(benchmark::internal::Benchmark* b) {
+  b->UseRealTime()->Repetitions(kRepetitions);
+}
 
 /// Knobs beyond the scheme/load shape; defaults run the 8x8 mesh on one
 /// shard on the calling thread.
@@ -123,7 +137,7 @@ void BM_hotpath(benchmark::State& st, const SchemeSpec& scheme,
 
 #define RAIR_HOTPATH_BENCH(name, scheme, fraction)               \
   BENCHMARK_CAPTURE(BM_hotpath, name, scheme, fraction)          \
-      ->Unit(benchmark::kMillisecond)
+      ->Unit(benchmark::kMillisecond)->Apply(wallClock)
 
 RAIR_HOTPATH_BENCH(ro_rr_low, schemeRoRr(), 0.10);
 RAIR_HOTPATH_BENCH(ro_rr_knee, schemeRoRr(), 0.85);
@@ -137,20 +151,20 @@ RAIR_HOTPATH_BENCH(ra_rair_saturated, schemeRaRair(), 1.10);
 // can bound the instrumentation overhead (<= 2% on cycles_per_sec).
 BENCHMARK_CAPTURE(BM_hotpath, ro_rr_knee_metrics, schemeRoRr(), 0.85,
                   HotLoopOptions{.withMetrics = true})
-    ->Unit(benchmark::kMillisecond);
+    ->Unit(benchmark::kMillisecond)->Apply(wallClock);
 BENCHMARK_CAPTURE(BM_hotpath, ra_rair_knee_metrics, schemeRaRair(), 0.85,
                   HotLoopOptions{.withMetrics = true})
-    ->Unit(benchmark::kMillisecond);
+    ->Unit(benchmark::kMillisecond)->Apply(wallClock);
 
 // Same knee workloads with a snapshot hook installed but never firing:
 // the "_snapshot" suffix pairs each with its bare twin so perf_check.py
 // can bound the armed snapshot predicate overhead (<= 2%).
 BENCHMARK_CAPTURE(BM_hotpath, ro_rr_knee_snapshot, schemeRoRr(), 0.85,
                   HotLoopOptions{.withSnapshotHook = true})
-    ->Unit(benchmark::kMillisecond);
+    ->Unit(benchmark::kMillisecond)->Apply(wallClock);
 BENCHMARK_CAPTURE(BM_hotpath, ra_rair_knee_snapshot, schemeRaRair(), 0.85,
                   HotLoopOptions{.withSnapshotHook = true})
-    ->Unit(benchmark::kMillisecond);
+    ->Unit(benchmark::kMillisecond)->Apply(wallClock);
 
 // Same knee workloads on the retransmitting link layer with zero
 // corruption ("_retx0" pairs with the bare twin): fault-free retx is the
@@ -162,10 +176,10 @@ BENCHMARK_CAPTURE(BM_hotpath, ra_rair_knee_snapshot, schemeRaRair(), 0.85,
 // must stay at pre-refactor speed (guarded by the checked-in baseline).
 BENCHMARK_CAPTURE(BM_hotpath, ro_rr_knee_retx0, schemeRoRr(), 0.85,
                   HotLoopOptions{.linkLayer = LinkLayerKind::Retx})
-    ->Unit(benchmark::kMillisecond);
+    ->Unit(benchmark::kMillisecond)->Apply(wallClock);
 BENCHMARK_CAPTURE(BM_hotpath, ra_rair_knee_retx0, schemeRaRair(), 0.85,
                   HotLoopOptions{.linkLayer = LinkLayerKind::Retx})
-    ->Unit(benchmark::kMillisecond);
+    ->Unit(benchmark::kMillisecond)->Apply(wallClock);
 
 // 16x16 mesh (256 nodes), the workload size where intra-run parallelism
 // pays: the one-shard cell and the thread sweep. Speedup at t8 depends on
@@ -173,16 +187,16 @@ BENCHMARK_CAPTURE(BM_hotpath, ra_rair_knee_retx0, schemeRaRair(), 0.85,
 // generated on.
 BENCHMARK_CAPTURE(BM_hotpath, ra_rair_knee16, schemeRaRair(), 0.85,
                   HotLoopOptions{.meshDim = 16})
-    ->Unit(benchmark::kMillisecond);
+    ->Unit(benchmark::kMillisecond)->Apply(wallClock);
 BENCHMARK_CAPTURE(BM_hotpath, ra_rair_knee16_t2, schemeRaRair(), 0.85,
                   HotLoopOptions{.meshDim = 16, .shardThreads = 2})
-    ->Unit(benchmark::kMillisecond);
+    ->Unit(benchmark::kMillisecond)->Apply(wallClock);
 BENCHMARK_CAPTURE(BM_hotpath, ra_rair_knee16_t4, schemeRaRair(), 0.85,
                   HotLoopOptions{.meshDim = 16, .shardThreads = 4})
-    ->Unit(benchmark::kMillisecond);
+    ->Unit(benchmark::kMillisecond)->Apply(wallClock);
 BENCHMARK_CAPTURE(BM_hotpath, ra_rair_knee16_t8, schemeRaRair(), 0.85,
                   HotLoopOptions{.meshDim = 16, .shardThreads = 8})
-    ->Unit(benchmark::kMillisecond);
+    ->Unit(benchmark::kMillisecond)->Apply(wallClock);
 
 // Topology-event (reconfiguration) cost: the per-event price of repairing
 // the routing tables after a link flap, measured on a 32x32 mesh
@@ -225,9 +239,9 @@ void BM_topoChurn(benchmark::State& st, bool incremental) {
       static_cast<double>(events), benchmark::Counter::kIsRate);
 }
 BENCHMARK_CAPTURE(BM_topoChurn, topo_churn32, /*incremental=*/false)
-    ->Unit(benchmark::kMicrosecond);
+    ->Unit(benchmark::kMicrosecond)->Apply(wallClock);
 BENCHMARK_CAPTURE(BM_topoChurn, topo_churn32_inc, /*incremental=*/true)
-    ->Unit(benchmark::kMicrosecond);
+    ->Unit(benchmark::kMicrosecond)->Apply(wallClock);
 
 }  // namespace
 }  // namespace rair

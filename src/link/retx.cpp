@@ -1,4 +1,4 @@
-#include "link/retx.h"
+#include "link/link_layer.h"
 
 #include <algorithm>
 

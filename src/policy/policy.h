@@ -40,7 +40,10 @@ enum class ArbStage : std::uint8_t {
 
 /// One competitor in an arbitration step.
 struct ArbCandidate {
-  const Flit* flit = nullptr;  ///< head flit of the competing packet
+  /// Front flit of the competing input VC. The router fills `native` from
+  /// its cached per-VC class, not from this flit; policies that rank by
+  /// flit fields (age, STC batch and rank) load them through this pointer.
+  const Flit* flit = nullptr;
   AppId routerApp = kNoApp;    ///< application tag of this router's node
   /// Class of the contested output VC (VaOut) or of the output VC already
   /// allocated to the competitor (SaIn / SaOut).
@@ -87,6 +90,11 @@ class ArbiterPolicy {
                            const RouterOccupancy& /*occ*/) const {}
 
   /// Priority key for a candidate; HIGHER wins, ties break round-robin.
+  /// Must be a pure function of its arguments (and of what `cand.flit`
+  /// points at): no side effects, no hidden state. The router relies on
+  /// this to skip the call when a grant is uncontested — a lone VA_out
+  /// request, a lone eligible VC at SA_in, a lone SA_in winner at SA_out
+  /// — and to compute a requester's key late, once a rival appears.
   virtual std::uint64_t priority(ArbStage stage, const ArbCandidate& cand,
                                  const PolicyState* state) const = 0;
 };

@@ -7,7 +7,7 @@
 namespace rair {
 
 RegionMap::RegionMap(const Mesh& mesh, std::vector<AppSpec> apps)
-    : mesh_(&mesh), apps_(std::move(apps)) {
+    : apps_(std::move(apps)) {
   nodeApp_.assign(static_cast<size_t>(mesh.numNodes()), kNoApp);
   for (size_t i = 0; i < apps_.size(); ++i) {
     RAIR_CHECK_MSG(apps_[i].id == static_cast<AppId>(i),
@@ -19,24 +19,29 @@ RegionMap::RegionMap(const Mesh& mesh, std::vector<AppSpec> apps)
       nodeApp_[static_cast<size_t>(n)] = apps_[i].id;
     }
   }
+  // Region extents: walk from every node in every direction until the
+  // region (or the mesh) ends.
+  extent_.assign(static_cast<size_t>(mesh.numNodes()) * kNumPorts, 0);
+  for (NodeId n = 0; n < mesh.numNodes(); ++n) {
+    const AppId home = appOf(n);
+    if (home == kNoApp) continue;
+    for (int d = 0; d < kNumPorts; ++d) {
+      int extent = 0;
+      NodeId cur = n;
+      while (const auto next = mesh.neighbor(cur, static_cast<Dir>(d))) {
+        if (appOf(*next) != home) break;
+        cur = *next;
+        ++extent;
+      }
+      extent_[static_cast<size_t>(n) * kNumPorts + static_cast<size_t>(d)] =
+          extent;
+    }
+  }
 }
 
 std::span<const NodeId> RegionMap::nodesOf(AppId a) const {
   RAIR_CHECK(a >= 0 && a < numApps());
   return apps_[static_cast<size_t>(a)].nodes;
-}
-
-int RegionMap::regionExtent(NodeId n, Dir d) const {
-  const AppId home = appOf(n);
-  int extent = 0;
-  NodeId cur = n;
-  while (true) {
-    const auto next = mesh_->neighbor(cur, d);
-    if (!next || appOf(*next) != home || home == kNoApp) break;
-    cur = *next;
-    ++extent;
-  }
-  return extent;
 }
 
 namespace {

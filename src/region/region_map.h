@@ -50,9 +50,14 @@ class RegionMap {
   }
 
   /// Number of hops one can move from `n` in direction `d` while staying
-  /// inside n's region (0 when the immediate neighbor is outside / absent).
-  /// This is DBAR's congestion-information horizon.
-  int regionExtent(NodeId n, Dir d) const;
+  /// inside n's region (0 when the immediate neighbor is outside / absent,
+  /// and for unassigned nodes). This is DBAR's congestion-information
+  /// horizon, read twice per DBAR selection: a table lookup, built at
+  /// construction.
+  int regionExtent(NodeId n, Dir d) const {
+    return extent_[static_cast<size_t>(n) * kNumPorts +
+                   static_cast<size_t>(d)];
+  }
 
   // ---- Canonical layouts used in the paper's evaluation ----------------
 
@@ -72,9 +77,9 @@ class RegionMap {
   static RegionMap blockGrid(const Mesh& mesh, int rx, int ry);
 
  private:
-  const Mesh* mesh_;
   std::vector<AppSpec> apps_;
   std::vector<AppId> nodeApp_;
+  std::vector<int> extent_;  ///< regionExtent, [node][dir] flattened
 };
 
 }  // namespace rair

@@ -24,9 +24,10 @@ Router::Router(NodeId id, AppId appTag, const RouterConfig& config,
       policy_(&policy),
       congestion_(&congestion),
       policyState_(policy.makeState()) {
+  // VcLayout caps a channel at kMaxVcs VCs, which the state bitmasks
+  // below must hold.
+  static_assert(VcLayout::kMaxVcs <= 64);
   RAIR_CHECK(vcDepth_ >= 1);
-  RAIR_CHECK_MSG(layout_.totalVcs() <= 64,
-                 "per-port VC count exceeds the state-bitmask width");
   const auto slots = static_cast<size_t>(kNumPorts * layout_.totalVcs());
   inputs_.resize(slots);
   outputs_.resize(slots);
@@ -185,7 +186,8 @@ void Router::routeCompute(Cycle now) {
   }
 }
 
-int Router::pickAdaptiveVc(int port, const Flit& f) const {
+int Router::pickAdaptiveVc(int port, const InputVc& ivc) const {
+  const Flit& f = ivc.buf.front();
   const int base = layout_.firstVcOf(f.msgClass);
   const int end = base + layout_.vcsPerClass();
   const int need = f.pktFlits;
@@ -200,7 +202,7 @@ int Router::pickAdaptiveVc(int port, const Flit& f) const {
   // Regional VCs first, so each flow lands in the VC class whose
   // prioritization rule favors it when both are free.
   const VcClass preferred =
-      isNative(f) ? VcClass::Regional : VcClass::Global;
+      isNativeVc(ivc) ? VcClass::Regional : VcClass::Global;
   int fallback = -1;
   for (int vc = base + 1; vc < end; ++vc) {
     if (!outVcAvailable(port, vc, need)) continue;
@@ -221,7 +223,7 @@ bool Router::selectOutputVc(Cycle now, int inPort, int inVcIdx,
     // Delivery through the Local port; any VC of the packet's class works
     // (the NIC sink cannot deadlock), adaptive VCs preferred.
     const int port = portIdx(Dir::Local);
-    int vc = pickAdaptiveVc(port, head);
+    int vc = pickAdaptiveVc(port, ivc);
     if (vc < 0) {
       const int escape = layout_.firstVcOf(head.msgClass);
       if (outVcAvailable(port, escape, head.pktFlits)) vc = escape;
@@ -238,7 +240,7 @@ bool Router::selectOutputVc(Cycle now, int inPort, int inVcIdx,
   routing_->orderBySelection(*mesh_, *congestion_, id_, head, ordered);
   for (int i = 0; i < ordered.numAdaptive; ++i) {
     const int port = portIdx(ordered.adaptiveDirs[i]);
-    const int vc = pickAdaptiveVc(port, head);
+    const int vc = pickAdaptiveVc(port, ivc);
     if (vc >= 0) {
       out.outPort = port;
       out.outVc = vc;
@@ -258,15 +260,15 @@ bool Router::selectOutputVc(Cycle now, int inPort, int inVcIdx,
   return false;
 }
 
-ArbCandidate Router::makeCandidate(const Flit& f, VcClass outClass,
-                                   Cycle now) const {
+std::uint64_t Router::priorityOf(ArbStage stage, const InputVc& ivc,
+                                  int outVcIdx, Cycle now) const {
   ArbCandidate c;
-  c.flit = &f;
+  c.flit = &ivc.buf.front();
   c.routerApp = appTag_;
-  c.outVcClass = outClass;
-  c.native = isNative(f);
+  c.outVcClass = layout_.typeOf(outVcIdx);
+  c.native = isNativeVc(ivc);
   c.now = now;
-  return c;
+  return policy_->priority(stage, c, policyState_.get());
 }
 
 void Router::vcAllocate(Cycle now) {
@@ -297,6 +299,7 @@ void Router::vcAllocate(Cycle now) {
               return a.outVc < b.outVc;
             });
   const int totalVcs = layout_.totalVcs();
+  const int numInVcs = kNumPorts * totalVcs;
   for (size_t i = 0; i < vaRequests_.size();) {
     size_t j = i;
     while (j < vaRequests_.size() &&
@@ -306,36 +309,37 @@ void Router::vcAllocate(Cycle now) {
     }
     const int outPort = vaRequests_[i].outPort;
     const int outVcIdx = vaRequests_[i].outVc;
-    const VcClass outClass = layout_.typeOf(outVcIdx);
-    // Find the max-priority request; ties resolved round-robin by flat
-    // input VC id relative to the per-output-VC pointer.
     const size_t rrSlot = static_cast<size_t>(outPort * totalVcs + outVcIdx);
-    const int rrFrom = vaRr_[rrSlot];
-    std::uint64_t bestPrio = 0;
-    int bestDist = -1;
     size_t best = i;
-    for (size_t k = i; k < j; ++k) {
-      const auto& r = vaRequests_[k];
-      const InputVc& ivc = inVc(r.inPort, r.inVc);
-      const std::uint64_t prio = policy_->priority(
-          ArbStage::VaOut, makeCandidate(ivc.buf.front(), outClass, now),
-          policyState_.get());
-      const int flatId = r.inPort * totalVcs + r.inVc;
-      const int dist =
-          (flatId - rrFrom + kNumPorts * totalVcs) % (kNumPorts * totalVcs);
-      // Prefer higher priority; among equals, smaller round-robin distance.
-      if (bestDist < 0 || prio > bestPrio ||
-          (prio == bestPrio && dist < bestDist)) {
-        bestPrio = prio;
-        bestDist = dist;
-        best = k;
+    if (j - i > 1) {
+      // Contested: the max-priority request wins; ties resolve
+      // round-robin by flat input VC id relative to the per-output-VC
+      // pointer. A lone request wins whatever its priority, so the
+      // policy is only asked here.
+      const int rrFrom = vaRr_[rrSlot];
+      std::uint64_t bestPrio = 0;
+      int bestDist = -1;
+      for (size_t k = i; k < j; ++k) {
+        const auto& r = vaRequests_[k];
+        const std::uint64_t prio = priorityOf(
+            ArbStage::VaOut, inVc(r.inPort, r.inVc), outVcIdx, now);
+        int dist = r.inPort * totalVcs + r.inVc - rrFrom;
+        if (dist < 0) dist += numInVcs;
+        // Prefer higher priority; among equals, smaller round-robin
+        // distance.
+        if (bestDist < 0 || prio > bestPrio ||
+            (prio == bestPrio && dist < bestDist)) {
+          bestPrio = prio;
+          bestDist = dist;
+          best = k;
+        }
       }
     }
     const auto& win = vaRequests_[best];
     InputVc& ivc = inVc(win.inPort, win.inVc);
     OutputVc& ovc = outVc(win.outPort, win.outVc);
-    (isNative(ivc.buf.front()) ? counters_.vaGrantsNative
-                               : counters_.vaGrantsForeign)++;
+    (isNativeVc(ivc) ? counters_.vaGrantsNative
+                     : counters_.vaGrantsForeign)++;
     if (layout_.isEscape(win.outVc)) ++counters_.escapeAllocations;
     RAIR_DCHECK(
         outVcAvailable(win.outPort, win.outVc,
@@ -355,8 +359,8 @@ void Router::vcAllocate(Cycle now) {
     ++numActive_;
     setStateBit(waitingMask_, win.inPort, win.inVc, false);
     setStateBit(activeMask_, win.inPort, win.inVc, true);
-    vaRr_[rrSlot] = (win.inPort * totalVcs + win.inVc + 1) %
-                    (kNumPorts * totalVcs);
+    const int next = win.inPort * totalVcs + win.inVc + 1;
+    vaRr_[rrSlot] = next == numInVcs ? 0 : next;
     i = j;
   }
 }
@@ -371,10 +375,18 @@ void Router::switchAllocateAndTraverse(Cycle now) {
   if (numActive_ == 0) return;
   const int totalVcs = layout_.totalVcs();
   std::uint32_t requestedOutPorts = 0;
+  std::uint32_t contestedOutPorts = 0;
+  // Index into saInWinners_ of the first SA_in winner per output port.
+  std::array<int, kNumPorts> firstWinner{};
   for (int port = 0; port < kNumPorts; ++port) {
+    // The policy is asked only once a second VC is eligible: a lone
+    // eligible VC wins whatever its priority, and the first VC's priority
+    // is computed late, when the second one appears.
     std::uint64_t bestPrio = 0;
+    bool bestPrioKnown = false;
     int bestDist = -1;
     int bestVc = -1;
+    const int rrFrom = saInRr_[static_cast<size_t>(port)];
     std::uint64_t mask = activeMask_[static_cast<size_t>(port)];
     while (mask != 0) {
       const int vc = std::countr_zero(mask);
@@ -385,14 +397,21 @@ void Router::switchAllocateAndTraverse(Cycle now) {
       if (stalledOutPorts_ & (1u << ivc.outPort)) continue;  // fault stall
       const OutputVc& ovc = outVc(ivc.outPort, ivc.outVc);
       if (ovc.credits <= 0) continue;  // no downstream buffer space
-      const std::uint64_t prio = policy_->priority(
-          ArbStage::SaIn,
-          makeCandidate(ivc.buf.front(), layout_.typeOf(ivc.outVc), now),
-          policyState_.get());
-      const int dist = (vc - saInRr_[static_cast<size_t>(port)] + totalVcs) %
-                       totalVcs;
-      if (bestDist < 0 || prio > bestPrio ||
-          (prio == bestPrio && dist < bestDist)) {
+      int dist = vc - rrFrom;
+      if (dist < 0) dist += totalVcs;
+      if (bestVc < 0) {
+        bestDist = dist;
+        bestVc = vc;
+        continue;
+      }
+      if (!bestPrioKnown) {
+        const InputVc& first = inVc(port, bestVc);
+        bestPrio = priorityOf(ArbStage::SaIn, first, first.outVc, now);
+        bestPrioKnown = true;
+      }
+      const std::uint64_t prio =
+          priorityOf(ArbStage::SaIn, ivc, ivc.outVc, now);
+      if (prio > bestPrio || (prio == bestPrio && dist < bestDist)) {
         bestPrio = prio;
         bestDist = dist;
         bestVc = vc;
@@ -400,45 +419,53 @@ void Router::switchAllocateAndTraverse(Cycle now) {
     }
     if (bestVc >= 0) {
       const InputVc& ivc = inVc(port, bestVc);
+      const std::uint32_t outBit = 1u << ivc.outPort;
+      if (requestedOutPorts & outBit)
+        contestedOutPorts |= outBit;
+      else
+        firstWinner[static_cast<size_t>(ivc.outPort)] =
+            static_cast<int>(saInWinners_.size());
+      requestedOutPorts |= outBit;
       saInWinners_.push_back({port, bestVc, ivc.outPort, ivc.outVc});
-      requestedOutPorts |= 1u << ivc.outPort;
     }
   }
   if (saInWinners_.empty()) return;
 
   // SA output arbitration: one winner per requested output port
-  // (ascending port order, same as scanning all of them).
+  // (ascending port order, same as scanning all of them). An output port
+  // requested by a single SA_in winner grants it without asking the
+  // policy.
   while (requestedOutPorts != 0) {
     const int outPort = std::countr_zero(requestedOutPorts);
     requestedOutPorts &= requestedOutPorts - 1;
-    std::uint64_t bestPrio = 0;
-    int bestDist = -1;
-    int best = -1;
-    for (size_t k = 0; k < saInWinners_.size(); ++k) {
-      const auto& w = saInWinners_[k];
-      if (w.outPort != outPort) continue;
-      const InputVc& ivc = inVc(w.inPort, w.inVc);
-      const std::uint64_t prio = policy_->priority(
-          ArbStage::SaOut,
-          makeCandidate(ivc.buf.front(), layout_.typeOf(w.outVc), now),
-          policyState_.get());
-      const int dist =
-          (w.inPort - saOutRr_[static_cast<size_t>(outPort)] + kNumPorts) %
-          kNumPorts;
-      if (bestDist < 0 || prio > bestPrio ||
-          (prio == bestPrio && dist < bestDist)) {
-        bestPrio = prio;
-        bestDist = dist;
-        best = static_cast<int>(k);
+    int best = firstWinner[static_cast<size_t>(outPort)];
+    if (contestedOutPorts & (1u << outPort)) {
+      const int rrFrom = saOutRr_[static_cast<size_t>(outPort)];
+      std::uint64_t bestPrio = 0;
+      int bestDist = -1;
+      for (size_t k = static_cast<size_t>(best); k < saInWinners_.size();
+           ++k) {
+        const auto& w = saInWinners_[k];
+        if (w.outPort != outPort) continue;
+        const std::uint64_t prio =
+            priorityOf(ArbStage::SaOut, inVc(w.inPort, w.inVc), w.outVc, now);
+        int dist = w.inPort - rrFrom;
+        if (dist < 0) dist += kNumPorts;
+        if (bestDist < 0 || prio > bestPrio ||
+            (prio == bestPrio && dist < bestDist)) {
+          bestPrio = prio;
+          bestDist = dist;
+          best = static_cast<int>(k);
+        }
       }
     }
-    if (best < 0) continue;
 
     // Switch traversal of the winner.
     const auto& w = saInWinners_[static_cast<size_t>(best)];
     InputVc& ivc = inVc(w.inPort, w.inVc);
     OutputVc& ovc = outVc(w.outPort, w.outVc);
     Flit f = ivc.buf.front();
+    const bool native = isNativeVc(ivc);
     ivc.buf.pop_front();
     reclassifyOccupancy(ivc);
     --ovc.credits;
@@ -449,9 +476,11 @@ void Router::switchAllocateAndTraverse(Cycle now) {
     ++flitsMovedThisCycle_;
     ++counters_.flitsTraversed;
     ++counters_.portFlits[static_cast<size_t>(w.outPort)];
-    (isNative(f) ? counters_.saGrantsNative : counters_.saGrantsForeign)++;
-    saOutRr_[static_cast<size_t>(outPort)] = (w.inPort + 1) % kNumPorts;
-    saInRr_[static_cast<size_t>(w.inPort)] = (w.inVc + 1) % totalVcs;
+    (native ? counters_.saGrantsNative : counters_.saGrantsForeign)++;
+    saOutRr_[static_cast<size_t>(outPort)] =
+        w.inPort + 1 == kNumPorts ? 0 : w.inPort + 1;
+    saInRr_[static_cast<size_t>(w.inPort)] =
+        w.inVc + 1 == totalVcs ? 0 : w.inVc + 1;
 
     if (isTail(f.type)) {
       ivc.outPort = -1;

@@ -209,6 +209,9 @@ class Router {
   bool isNative(const Flit& f) const {
     return appTag_ != kNoApp && f.app == appTag_;
   }
+  /// Whether the front flit of a non-empty input VC is native — read from
+  /// the cached occClass, not from flit memory.
+  static bool isNativeVc(const InputVc& ivc) { return ivc.occClass == 1; }
 
   /// Whether output VC (port, vc) can be allocated to a packet of
   /// `flitsNeeded` flits now. Atomic mode (and escape VCs): unowned and
@@ -223,13 +226,16 @@ class Router {
   /// or false if nothing suitable is available.
   bool selectOutputVc(Cycle now, int inPort, int inVcIdx, VaRequest& out);
 
-  /// Picks the best available adaptive output VC on `port` for `f`
-  /// (RAIR class preference: foreign packets try Global VCs first, native
-  /// packets Regional first); returns -1 if none.
-  int pickAdaptiveVc(int port, const Flit& f) const;
+  /// Picks the best available adaptive output VC on `port` for the head
+  /// flit of `ivc` (RAIR class preference: foreign packets try Global VCs
+  /// first, native packets Regional first); returns -1 if none.
+  int pickAdaptiveVc(int port, const InputVc& ivc) const;
 
-  ArbCandidate makeCandidate(const Flit& f, VcClass outClass,
-                             Cycle now) const;
+  /// Policy priority of the front flit of `ivc` competing for output VC
+  /// index `outVcIdx` at `stage`. Only called for contested grants: the
+  /// policy is pure (policy.h), so an uncontested grant skips it.
+  std::uint64_t priorityOf(ArbStage stage, const InputVc& ivc, int outVcIdx,
+                           Cycle now) const;
 
   /// Maintains occNative_/occForeign_ and the per-VC occClass after the
   /// front flit of `ivc` changed (push into empty buffer or pop).

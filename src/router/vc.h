@@ -14,6 +14,8 @@
 // regional VCs follow the DPA decision.
 #pragma once
 
+#include <cstdint>
+
 #include "common/assert.h"
 #include "packet/packet.h"
 
@@ -28,9 +30,15 @@ enum class VcClass : std::uint8_t {
 };
 
 /// Computes class membership and RAIR tagging for the VC index space of a
-/// physical channel. Immutable; shared by all routers of a network.
+/// physical channel. Immutable; shared by all routers of a network. The
+/// per-VC classification is tabulated at construction (one bit per VC, so
+/// a channel carries at most kMaxVcs VCs) and never serialized: the hot
+/// path reads a bit instead of dividing by vcsPerClass.
 class VcLayout {
  public:
+  /// Width of the per-VC tables (and of the routers' state bitmasks).
+  static constexpr int kMaxVcs = 64;
+
   /// @param numClasses    number of protocol message classes (>= 1)
   /// @param vcsPerClass   VCs per class (>= 2: one escape + >=1 adaptive)
   /// @param rairPartition when true, adaptive VCs are tagged
@@ -43,7 +51,7 @@ class VcLayout {
 
   int numClasses() const { return numClasses_; }
   int vcsPerClass() const { return vcsPerClass_; }
-  int totalVcs() const { return numClasses_ * vcsPerClass_; }
+  int totalVcs() const { return totalVcs_; }
   bool rairPartition() const { return rairPartition_; }
 
   /// Message class served by VC index `vc`.
@@ -57,18 +65,16 @@ class VcLayout {
     return static_cast<int>(c) * vcsPerClass_;
   }
 
-  /// Classification of VC index `vc`.
+  /// Classification of VC index `vc`: within each class block, index 0 is
+  /// the escape VC and, under the RAIR partition, the last
+  /// `globalPerClass` adaptive VCs are Global and the rest Regional.
   VcClass typeOf(int vc) const {
-    RAIR_DCHECK(vc >= 0 && vc < totalVcs());
-    const int within = vc % vcsPerClass_;
-    if (within == 0) return VcClass::Escape;
+    if (isEscape(vc)) return VcClass::Escape;
     if (!rairPartition_) return VcClass::Adaptive;
-    // Adaptive VCs 1..vcsPerClass-1: the last `globalPerClass_` are Global.
-    return within >= vcsPerClass_ - globalPerClass_ ? VcClass::Global
-                                                    : VcClass::Regional;
+    return bit(globalMask_, vc) ? VcClass::Global : VcClass::Regional;
   }
 
-  bool isEscape(int vc) const { return typeOf(vc) == VcClass::Escape; }
+  bool isEscape(int vc) const { return bit(escapeMask_, vc); }
   bool isAdaptive(int vc) const { return !isEscape(vc); }
 
   int adaptivePerClass() const { return vcsPerClass_ - 1; }
@@ -78,10 +84,18 @@ class VcLayout {
   }
 
  private:
+  bool bit(std::uint64_t mask, int vc) const {
+    RAIR_DCHECK(vc >= 0 && vc < totalVcs_);
+    return (mask >> vc) & 1u;
+  }
+
   int numClasses_;
   int vcsPerClass_;
+  int totalVcs_;
   bool rairPartition_;
   int globalPerClass_;
+  std::uint64_t escapeMask_ = 0;  ///< bit vc set: VC `vc` is an escape VC
+  std::uint64_t globalMask_ = 0;  ///< bit vc set: RAIR Global VC
 };
 
 }  // namespace rair

@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "link/link_layer.h"
-#include "link/retx.h"
 #include "policy/policy.h"
 #include "region/region_map.h"
 #include "router/router.h"

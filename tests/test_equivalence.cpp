@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "campaign/builtin.h"
@@ -67,6 +68,93 @@ TEST(Equivalence, Fig09RaRairP100MatchesSeedImplementation) {
   EXPECT_EQ(r.run.packetsDelivered, 85040u);
   EXPECT_EQ(r.run.termination, Termination::Drained);
 }
+
+// ---- Arbitration paths beyond RO_RR and RA_RAIR ---------------------------
+
+/// One fast-window 8x8 halves cell per arbitration path the router's
+/// VA_out/SA_in/SA_out loops can take: the flit-reading policies (STC's
+/// batch and rank, age), RAIR's fixed-priority and VA-only ablations,
+/// DBAR selection, and non-atomic VCs with two message classes. App 0 sends
+/// half of its traffic across the region boundary, so both native and
+/// foreign packets contend everywhere. The pins were recorded before the
+/// router arbitrated from cached per-VC state.
+struct ArbPathCell {
+  const char* name;
+  SchemeSpec scheme;
+  bool twoClassNonAtomic;
+  double meanApl;
+  std::uint64_t flitHops;
+  std::uint64_t vaNative, vaForeign, saNative, saForeign;
+};
+
+SchemeSpec schemeRoAge() {
+  SchemeSpec s;
+  s.label = "RO_Age";
+  s.policy = PolicyKind::AgeBased;
+  return s;
+}
+
+const std::vector<ArbPathCell>& arbPathCells() {
+  static const std::vector<ArbPathCell> cells = {
+      {"RoRank", schemeRoRank(), false, 32.311751158036387, 1311071, 414754,
+       21986, 1244792, 66279},
+      {"RoAge", schemeRoAge(), false, 34.101286132029088, 1310857, 414805,
+       21865, 1244911, 65946},
+      {"RairNativeH", schemeRairNativeHigh(), false, 31.671272934295992,
+       1311328, 415093, 21717, 1245922, 65406},
+      {"RairForeignH", schemeRairForeignHigh(), false, 32.203814403643612,
+       1311048, 414750, 21986, 1244757, 66291},
+      {"RairVa", schemeRairVaOnly(), false, 31.598193722019513, 1311461,
+       414975, 21887, 1245543, 65918},
+      {"RaDbar", schemeRaDbar(), false, 29.775936133322983, 1311225, 422774,
+       14011, 1269135, 42090},
+      {"RaRairTwoClassNonAtomic", schemeRaRair(), true, 32.305436948477087,
+       1311947, 414373, 22634, 1243880, 68067},
+  };
+  return cells;
+}
+
+class ArbPathGolden
+    : public ::testing::TestWithParam<std::tuple<std::size_t, int>> {};
+
+TEST_P(ArbPathGolden, MatchesRecordedGolden) {
+  const ArbPathCell& cell = arbPathCells()[std::get<0>(GetParam())];
+  Mesh mesh(8, 8);
+  const RegionMap regions = RegionMap::halves(mesh);
+  auto apps = scenarios::twoAppInterRegion(
+      0.5, scenarios::kLowLoadFraction * kHalfSat,
+      scenarios::kHighLoadFraction * kHalfSat);
+  SimConfig cfg;
+  if (cell.twoClassNonAtomic) {
+    cfg.net.numClasses = 2;
+    cfg.net.atomicVcs = false;
+    apps[1].msgClass = MsgClass::Reply;
+  }
+  const auto r = runScenario(ScenarioSpec(mesh, regions)
+                                 .withConfig(cfg)
+                                 .withScheme(cell.scheme)
+                                 .withApps(apps)
+                                 .withSeed(0x5EED)
+                                 .withThreads(std::get<1>(GetParam()))
+                                 .withFastWindows());
+  EXPECT_EQ(r.meanApl, cell.meanApl);
+  EXPECT_EQ(r.run.flitHops, cell.flitHops);
+  EXPECT_EQ(r.run.termination, Termination::Drained);
+  ASSERT_TRUE(r.metrics.has_value());
+  EXPECT_EQ(r.metrics->vaGrantsNative, cell.vaNative);
+  EXPECT_EQ(r.metrics->vaGrantsForeign, cell.vaForeign);
+  EXPECT_EQ(r.metrics->saGrantsNative, cell.saNative);
+  EXPECT_EQ(r.metrics->saGrantsForeign, cell.saForeign);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Schemes, ArbPathGolden,
+    ::testing::Combine(::testing::Range<std::size_t>(0, arbPathCells().size()),
+                       ::testing::Values(1, 2)),
+    [](const ::testing::TestParamInfo<ArbPathGolden::ParamType>& info) {
+      return std::string(arbPathCells()[std::get<0>(info.param)].name) +
+             "_t" + std::to_string(std::get<1>(info.param));
+    });
 
 /// The first row of the fig09 grid (RO_RR, p in {0,25,50,75,100}) as its
 /// own campaign: same campaignSeed and cell order as the full fig09, so

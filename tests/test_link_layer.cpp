@@ -11,7 +11,6 @@
 
 #include "fault/plan.h"
 #include "link/link_layer.h"
-#include "link/retx.h"
 #include "sim/scenario.h"
 #include "snapshot/buffer.h"
 #include "snapshot/scenario_key.h"

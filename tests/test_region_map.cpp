@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <numeric>
 #include <set>
+#include <utility>
 
 namespace rair {
 namespace {
@@ -115,6 +117,46 @@ TEST(RegionMap, RegionExtentOnUnassignedNodeIsZero) {
   const RegionMap rm(m, {a0});
   EXPECT_EQ(rm.regionExtent(10, Dir::North), 0);
   EXPECT_EQ(rm.regionExtent(10, Dir::East), 0);
+}
+
+/// DBAR's horizon as first defined: walk neighbors in direction `d` while
+/// they belong to n's (assigned) region.
+int walkedExtent(const Mesh& mesh, const RegionMap& rm, NodeId n, Dir d) {
+  const AppId home = rm.appOf(n);
+  int extent = 0;
+  NodeId cur = n;
+  while (true) {
+    const auto next = mesh.neighbor(cur, d);
+    if (!next || rm.appOf(*next) != home || home == kNoApp) break;
+    cur = *next;
+    ++extent;
+  }
+  return extent;
+}
+
+void expectExtentsMatchWalk(const Mesh& mesh, const RegionMap& rm) {
+  for (NodeId n = 0; n < mesh.numNodes(); ++n)
+    for (int d = 0; d < kNumPorts; ++d)
+      ASSERT_EQ(rm.regionExtent(n, static_cast<Dir>(d)),
+                walkedExtent(mesh, rm, n, static_cast<Dir>(d)))
+          << "node " << n << " dir " << d;
+}
+
+TEST(RegionMap, ExtentTableMatchesNeighborWalk) {
+  for (const auto& [w, h] : {std::pair{8, 8}, std::pair{16, 16},
+                             std::pair{5, 3}, std::pair{7, 9}}) {
+    const Mesh m(w, h);
+    expectExtentsMatchWalk(m, RegionMap::halves(m));
+    expectExtentsMatchWalk(m, RegionMap::quadrants(m));
+    expectExtentsMatchWalk(m, RegionMap::sixRegions(m));
+    expectExtentsMatchWalk(m, RegionMap::blockGrid(m, std::min(w, 3), 1));
+    expectExtentsMatchWalk(m, RegionMap::blockGrid(m, 2, std::min(h, 3)));
+  }
+  // Unassigned (kNoApp) nodes around and between two irregular regions.
+  const Mesh m(6, 5);
+  const AppSpec a0{0, {0, 1, 2, 6, 7, 13, 19}};
+  const AppSpec a1{1, {4, 5, 11, 17, 16, 22, 28, 29}};
+  expectExtentsMatchWalk(m, RegionMap(m, {a0, a1}));
 }
 
 TEST(RegionMap, BlockGridGeneric) {

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
 namespace rair {
 namespace {
 
@@ -71,6 +74,47 @@ TEST(VcLayout, Table1Config) {
   VcLayout l(2, 4, false);
   EXPECT_EQ(l.totalVcs(), 8);
   EXPECT_EQ(l.adaptivePerClass(), 3);
+}
+
+/// The closed-form classification the VcLayout tables are built from:
+/// index 0 of each class block is the escape VC; under the RAIR partition
+/// the last `globalPerClass` adaptive VCs of a block are Global.
+VcClass closedFormType(int vc, int vcsPerClass, bool rair, int global) {
+  const int within = vc % vcsPerClass;
+  if (within == 0) return VcClass::Escape;
+  if (!rair) return VcClass::Adaptive;
+  return within >= vcsPerClass - global ? VcClass::Global : VcClass::Regional;
+}
+
+TEST(VcLayout, TablesMatchClosedFormClassification) {
+  for (int classes = 1; classes <= kMaxMsgClasses; ++classes) {
+    for (int perClass = 2; perClass <= 16; ++perClass) {
+      // Plain layouts, then every valid RAIR split (-1 = the default).
+      std::vector<std::pair<bool, int>> variants = {{false, -1}, {true, -1}};
+      for (int g = 1; g <= perClass - 2; ++g) variants.push_back({true, g});
+      for (const auto& [rair, requested] : variants) {
+        if (rair && perClass < 3) continue;  // needs a regional + a global
+        const VcLayout l(classes, perClass, rair, requested);
+        ASSERT_EQ(l.totalVcs(), classes * perClass);
+        const int global = l.globalPerClass();
+        for (int vc = 0; vc < l.totalVcs(); ++vc) {
+          const VcClass want = closedFormType(vc, perClass, rair, global);
+          ASSERT_EQ(l.typeOf(vc), want)
+              << classes << "x" << perClass << " rair=" << rair
+              << " global=" << global << " vc=" << vc;
+          ASSERT_EQ(l.isEscape(vc), want == VcClass::Escape);
+          ASSERT_EQ(l.isAdaptive(vc), want != VcClass::Escape);
+          ASSERT_EQ(l.msgClassOf(vc), static_cast<MsgClass>(vc / perClass));
+        }
+      }
+    }
+  }
+}
+
+TEST(VcLayout, AtMost64VcsPerChannel) {
+  EXPECT_EQ(VcLayout(4, 16, true).totalVcs(), VcLayout::kMaxVcs);
+  EXPECT_DEATH(VcLayout(4, 17, false), "VC table width");
+  EXPECT_DEATH(VcLayout(1, 65, true), "VC table width");
 }
 
 }  // namespace

@@ -7,9 +7,12 @@ Usage:
                   [--paired-suffix _metrics --paired-suffix _snapshot \
                    --paired-suffix _retx0:0.35 --max-overhead 0.02]
 
-Both files are google-benchmark JSON (--benchmark_format=json). The check
-fails (exit 1) when any benchmark present in both files regresses by more
-than --max-regression on the chosen rate metric (higher is better).
+Both files are google-benchmark JSON (--benchmark_format=json). Each
+benchmark is reduced to the median of its raw repetitions (aggregate rows
+are ignored), keyed by its name without the "/repeats:N" and "/real_time"
+registration suffixes. The check fails (exit 1) when any benchmark present
+in both files regresses by more than --max-regression on the chosen rate
+metric (higher is better).
 Benchmarks without the chosen counter are skipped, so one JSON file can
 serve several passes with different --metric values. New or removed
 benchmarks are reported but do not fail the check; regenerate the
@@ -32,13 +35,27 @@ the fault-free retransmission layer 35%% where the default bound is 2%%).
 
 import argparse
 import json
+import statistics
 import sys
+
+# Name components google-benchmark appends for registration options; they
+# are identical for every repetition and would hide the "_metrics"-style
+# suffixes the paired checks match on.
+_OPTION_PREFIXES = ("repeats:", "iterations:", "min_time:",
+                    "min_warmup_time:", "threads:")
+_OPTION_NAMES = ("real_time", "process_time", "manual_time")
+
+
+def base_name(name):
+    parts = [p for p in name.split("/")
+             if p not in _OPTION_NAMES and not p.startswith(_OPTION_PREFIXES)]
+    return "/".join(parts)
 
 
 def load_metrics(path, metric):
     with open(path) as fh:
         data = json.load(fh)
-    out = {}
+    runs = {}
     for bench in data.get("benchmarks", []):
         if bench.get("run_type") == "aggregate":
             continue
@@ -47,7 +64,9 @@ def load_metrics(path, metric):
         # benches events_per_sec); each pass only sees its own subset.
         if metric not in bench:
             continue
-        out[bench["name"]] = float(bench[metric])
+        runs.setdefault(base_name(bench["name"]), []).append(
+            float(bench[metric]))
+    out = {name: statistics.median(vals) for name, vals in runs.items()}
     if not out:
         sys.exit(f"perf_check: {path}: no benchmarks with a {metric!r} "
                  f"counter found")
