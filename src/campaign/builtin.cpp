@@ -4,6 +4,7 @@
 #include <array>
 #include <cstdarg>
 #include <cstdio>
+#include <limits>
 #include <map>
 #include <memory>
 
@@ -11,6 +12,7 @@
 #include "fault/plan.h"
 #include "fault/random_plan.h"
 #include "scenarios/paper_scenarios.h"
+#include "scenarios/parsec_scenario.h"
 #include "stats/report.h"
 #include "traffic/pattern.h"
 
@@ -76,6 +78,11 @@ Fixture makeFixture(int regionCount) {
   Fixture f;
   f.mesh = std::make_shared<Mesh>(8, 8);
   switch (regionCount) {
+    case 1:
+      // One chip-wide region: a conventional, unregionalized NoC.
+      f.regions =
+          std::make_shared<RegionMap>(RegionMap::blockGrid(*f.mesh, 1, 1));
+      break;
     case 2:
       f.regions = std::make_shared<RegionMap>(RegionMap::halves(*f.mesh));
       break;
@@ -279,28 +286,40 @@ CampaignSpec buildFig10(BuildContext& ctx) {
 
 // ---- Fig. 12: DPA, two contrasting four-app quadrant scenarios ----------
 
+/// Fig. 12 scenario `scen` with per-app injection rates `r`: (a) three low
+/// apps aiming 30% of their traffic at a high fourth, (b) the high app
+/// aiming 30% of its traffic at three intra-only low apps.
+std::vector<AppTrafficSpec> fig12Workload(char scen,
+                                          const std::vector<double>& r) {
+  auto shapes = scen == 'a' ? scenarios::fourAppLowTowardHigh(0, 0)
+                            : scenarios::fourAppHighTowardLow(0, 0);
+  for (std::size_t a = 0; a < 4; ++a) shapes[a].injectionRate = r[a];
+  return shapes;
+}
+
+/// Per-app loads of Fig. 12 scenario `scen` ('a' or 'b'): three low apps
+/// and a high fourth calibrated in context (scenarios::calibrateLoads).
+std::vector<double> fig12Rates(BuildContext& ctx, const Fixture& fx,
+                               char scen) {
+  return cachedRates(ctx, std::string("fig12/cal_") + scen, 4, [&] {
+    logTo(ctx, std::string("calibrating fig12 scenario ") + scen +
+                   " loads...");
+    const std::array<double, 4> fractions = {
+        scenarios::kLowLoadFraction, scenarios::kLowLoadFraction,
+        scenarios::kLowLoadFraction, scenarios::kHighLoadFraction};
+    return scenarios::calibrateLoads(*fx.mesh, *fx.regions,
+                                     fig12Workload(scen, {0, 0, 0, 0}),
+                                     fractions, ctx.sat);
+  });
+}
+
 CampaignSpec buildFig12(BuildContext& ctx) {
   const Fixture fx = makeFixture(4);
   const std::vector<SchemeSpec> schemes = {
       schemeRoRr(), schemeRairNativeHigh(), schemeRairForeignHigh(),
       schemeRaRair()};
-
-  std::map<char, std::vector<double>> rates;
-  for (const char scen : {'a', 'b'}) {
-    rates[scen] = cachedRates(
-        ctx, std::string("fig12/cal_") + scen, 4, [&, scen] {
-          logTo(ctx, std::string("calibrating fig12 scenario ") + scen +
-                         " loads...");
-          const auto shapes = scen == 'a'
-                                  ? scenarios::fourAppLowTowardHigh(0, 0)
-                                  : scenarios::fourAppHighTowardLow(0, 0);
-          const std::array<double, 4> fractions = {
-              scenarios::kLowLoadFraction, scenarios::kLowLoadFraction,
-              scenarios::kLowLoadFraction, scenarios::kHighLoadFraction};
-          return scenarios::calibrateLoads(*fx.mesh, *fx.regions, shapes,
-                                           fractions, ctx.sat);
-        });
-  }
+  const std::map<char, std::vector<double>> rates = {
+      {'a', fig12Rates(ctx, fx, 'a')}, {'b', fig12Rates(ctx, fx, 'b')}};
 
   CampaignSpec spec;
   spec.name = "fig12";
@@ -312,13 +331,10 @@ CampaignSpec buildFig12(BuildContext& ctx) {
       cell.key = s.label + "/" + scen;
       cell.labels = {{"scheme", s.label},
                      {"scenario", std::string(1, scen)}};
-      const std::vector<double> r = rates[scen];
+      const std::vector<double> r = rates.at(scen);
       const auto mo = cellMetricsOptions(ctx.metrics, spec.name, cell.key);
       cell.run = [fx, cfg, s, scen, r, mo](const CellContext& ctx) {
-        auto shapes = scen == 'a' ? scenarios::fourAppLowTowardHigh(0, 0)
-                                  : scenarios::fourAppHighTowardLow(0, 0);
-        for (std::size_t a = 0; a < 4; ++a) shapes[a].injectionRate = r[a];
-        return runCell(fx, cfg, s, shapes, ctx, mo);
+        return runCell(fx, cfg, s, fig12Workload(scen, r), ctx, mo);
       };
       spec.add(std::move(cell));
     }
@@ -373,7 +389,8 @@ std::vector<double> sixAppRates(BuildContext& ctx, const Fixture& fx,
   });
 }
 
-const std::vector<SchemeSpec>& sixAppSchemes() {
+/// The four schemes the application studies (Figs. 14, 15 and 17) compare.
+const std::vector<SchemeSpec>& appStudySchemes() {
   static const std::vector<SchemeSpec> schemes = {
       schemeRoRr(), schemeRaDbar(), schemeRoRank(), schemeRaRair()};
   return schemes;
@@ -383,7 +400,7 @@ void addSixAppCells(CampaignSpec& spec, const Fixture& fx,
                     const SimConfig& cfg, PatternKind pattern,
                     const std::vector<double>& rates, bool keyByPattern,
                     const metrics::MetricsOptions& baseMo) {
-  for (const SchemeSpec& s : sixAppSchemes()) {
+  for (const SchemeSpec& s : appStudySchemes()) {
     CampaignCell cell;
     const std::string pname = patternName(pattern);
     cell.key = keyByPattern ? s.label + "/" + pname : s.label;
@@ -409,7 +426,7 @@ CampaignSpec buildFig14(BuildContext& ctx) {
                  /*keyByPattern=*/false, ctx.metrics);
 
   std::vector<std::string> labels;
-  for (const auto& s : sixAppSchemes())
+  for (const auto& s : appStudySchemes())
     if (s.label != "RO_RR") labels.push_back(s.label);
   spec.renderTables = [labels, rates](const CellLookup& cells) {
     std::string out;
@@ -447,14 +464,16 @@ CampaignSpec buildFig15(BuildContext& ctx) {
   CampaignSpec spec;
   spec.name = "fig15";
   spec.campaignSeed = ctx.campaignSeed;
-  // Loads are calibrated per pattern: the global component's shape moves
-  // each app's knee (see bench/fig15_patterns.cpp rationale).
+  // Loads are calibrated per pattern: saturation depends strongly on the
+  // global component's shape (bit-complement crosses the bisection with
+  // every global packet; hotspot funnels into four nodes), so the paper's
+  // "x% of saturation" levels resolve to different absolute rates.
   for (const PatternKind pat : patterns)
     addSixAppCells(spec, fx, ctx.sim, pat, sixAppRates(ctx, fx, pat),
                    /*keyByPattern=*/true, ctx.metrics);
 
   std::vector<std::string> labels;
-  for (const auto& s : sixAppSchemes())
+  for (const auto& s : appStudySchemes())
     if (s.label != "RO_RR") labels.push_back(s.label);
   spec.renderTables = [labels, patterns](const CellLookup& cells) {
     std::string out;
@@ -480,6 +499,121 @@ CampaignSpec buildFig15(BuildContext& ctx) {
     appendf(out, "Paper reference: RA_RAIR averages ~13.4%% reduction "
                  "across patterns and is the best scheme under every "
                  "pattern.\n");
+    return out;
+  };
+  return spec;
+}
+
+// ---- Fig. 17: PARSEC workloads under an adversarial flood ----------------
+
+/// Mean flit load the PARSEC workloads themselves put on the chip: each
+/// request moves 1 + 5 flits end to end.
+double parsecFlitLoad() {
+  double sum = 0;
+  for (const auto b : scenarios::fig16Benchmarks())
+    sum += parsecProfile(b).requestRate * 6.0;
+  return sum / static_cast<double>(scenarios::fig16Benchmarks().size());
+}
+
+/// The paper floods at 0.4 flits/cycle/node while the PARSEC apps add a
+/// small load on a ~0.5-capacity network, i.e. the flood consumes ~80% of
+/// the *headroom* left by the applications. We measure our substrate's
+/// chip-wide UR saturation (the flooder alone on the idle quadrants) and
+/// apply the same proportion: an absolute 0.4 would oversaturate this
+/// smaller-buffered network and every scheme would degenerate into
+/// unbounded queueing.
+double fig17AttackRate(BuildContext& ctx, const Fixture& fx) {
+  return ctx.value("fig17/attackRate", [&] {
+    logTo(ctx, "calibrating fig17 flood rate...");
+    constexpr AppId kFlooder = 4;  // after the four idle quadrant apps
+    const LatencyProbe aplAtRate = [&](double rate, double ceiling) {
+      SimConfig cfg;
+      cfg.warmupCycles = ctx.sat.warmupCycles;
+      cfg.measureCycles = ctx.sat.measureCycles;
+      cfg.drainLimit = ctx.sat.drainLimit;
+      std::vector<AppTrafficSpec> idle(kFlooder);
+      for (AppId a = 0; a < kFlooder; ++a)
+        idle[static_cast<std::size_t>(a)].app = a;
+      const auto r = runScenario(ScenarioSpec(*fx.mesh, *fx.regions)
+                                     .withConfig(cfg)
+                                     .withScheme(schemeRoRr())
+                                     .withApps(std::move(idle))
+                                     .withAdversarialRate(rate)
+                                     .withWarmCache(ctx.sat.warmCacheDir)
+                                     .withLatencyCeiling(ceiling, {kFlooder}));
+      // Could not drain, or proven above the ceiling: saturated.
+      if (!r.run.fullyDrained) return std::numeric_limits<double>::infinity();
+      return r.appApl[kFlooder];
+    };
+    const double sat = findSaturationRate(aplAtRate, ctx.sat);
+    return 0.95 * std::max(0.05, sat - parsecFlitLoad());
+  });
+}
+
+/// Fig. 17: each PARSEC app's APL slowdown under the flood relative to its
+/// no-attack APL under the same scheme; cells keyed
+/// "<scheme>/{base,attack}".
+CampaignSpec buildFig17(BuildContext& ctx) {
+  const Fixture fx = makeFixture(4);
+  const double flood = fig17AttackRate(ctx, fx);
+
+  CampaignSpec spec;
+  spec.name = "fig17";
+  spec.campaignSeed = ctx.campaignSeed;
+  const SimConfig cfg = ctx.sim;
+  for (const SchemeSpec& s : appStudySchemes()) {
+    for (const bool attacked : {false, true}) {
+      const std::string phase = attacked ? "attack" : "base";
+      CampaignCell cell;
+      cell.key = s.label + "/" + phase;
+      cell.labels = {{"scheme", s.label}, {"flood", phase}};
+      cell.run = [fx, cfg, s, attacked, flood](const CellContext& cc) {
+        // runParsecScenario builds its own Simulator with request/reply
+        // hooks; a plan silently left out would write fault-free records
+        // into a faulted results file.
+        RAIR_CHECK_MSG(cc.faults.empty(),
+                       "fig17 cells run the PARSEC request/reply scenario, "
+                       "which cannot take a fault plan; run fig17 without "
+                       "--faults");
+        scenarios::ParsecScenarioOptions opts;
+        opts.seed = cc.seed;
+        if (attacked) opts.adversarialRate = flood;
+        SimConfig c = cfg;
+        c.shardThreads = cc.shardThreads;
+        return scenarios::runParsecScenario(*fx.mesh, *fx.regions, c, s,
+                                            scenarios::fig16Benchmarks(),
+                                            opts);
+      };
+      spec.add(std::move(cell));
+    }
+  }
+
+  spec.renderTables = [flood](const CellLookup& cells) {
+    std::string out;
+    appendf(out, "\n=== Fig. 17: APL slowdown under adversarial traffic "
+                 "(flood = %.3f flits/cycle/node = 95%% of the headroom "
+                 "left by the PARSEC load; the paper's 0.4 is the same "
+                 "proportion of its larger network capacity) ===\n\n",
+            flood);
+    TextTable t({"scheme", "blackscholes", "swaptions", "fluidanimate",
+                 "raytrace", "mean slowdown"});
+    for (const SchemeSpec& s : appStudySchemes()) {
+      const CellRecord& base = cells.at(s.label + "/base");
+      const CellRecord& atk = cells.at(s.label + "/attack");
+      const auto row = t.addRow();
+      t.set(row, 0, s.label);
+      double sum = 0;
+      for (std::size_t a = 0; a < 4; ++a) {
+        const double slow = atk.appApl[a] / base.appApl[a];
+        t.setNum(row, 1 + a, slow);
+        sum += slow;
+      }
+      t.setNum(row, 5, sum / 4.0);
+    }
+    out += t.toString();
+    out += "\n";
+    appendf(out, "Paper reference (mean slowdown): RO_RR 1.92, RA_DBAR "
+                 "1.75, RO_Rank 1.47, RA_RAIR 1.18.\n");
     return out;
   };
   return spec;
@@ -558,6 +692,202 @@ CampaignSpec buildAblRegions(BuildContext& ctx) {
     out += "\n";
     appendf(out, "RAIR keeps two-flow state per router, so the benefit "
                  "must persist as regions scale (Sec. VI).\n");
+    return out;
+  };
+  return spec;
+}
+
+// ---- Ablation: DPA hysteresis width (Sec. IV.C) --------------------------
+
+/// RAIR's mean APL on the Fig. 12 scenarios (where DPA transitions fire)
+/// as the hysteresis width Δ sweeps; cells keyed "d<Δ>/<a|b>". The loads
+/// are fig12's calibrated rates, so both campaigns share one calibration.
+CampaignSpec buildAblHysteresis(BuildContext& ctx) {
+  const Fixture fx = makeFixture(4);
+  const std::vector<double> deltas = {0.0, 0.05, 0.1, 0.2, 0.3, 0.5};
+  const std::map<char, std::vector<double>> rates = {
+      {'a', fig12Rates(ctx, fx, 'a')}, {'b', fig12Rates(ctx, fx, 'b')}};
+
+  CampaignSpec spec;
+  spec.name = "abl_hysteresis";
+  spec.campaignSeed = ctx.campaignSeed;
+  const SimConfig cfg = ctx.sim;
+  for (const double delta : deltas) {
+    SchemeSpec s = schemeRaRair();
+    s.rair.hysteresisDelta = delta;
+    for (const char scen : {'a', 'b'}) {
+      CampaignCell cell;
+      cell.key = "d" + formatNum(delta, 2) + "/" + scen;
+      cell.labels = {{"delta", formatNum(delta, 2)},
+                     {"scenario", std::string(1, scen)}};
+      const std::vector<double> r = rates.at(scen);
+      const auto mo = cellMetricsOptions(ctx.metrics, spec.name, cell.key);
+      cell.run = [fx, cfg, s, scen, r, mo](const CellContext& ctx) {
+        return runCell(fx, cfg, s, fig12Workload(scen, r), ctx, mo);
+      };
+      spec.add(std::move(cell));
+    }
+  }
+
+  spec.renderTables = [deltas](const CellLookup& cells) {
+    std::string out;
+    appendf(out, "\n=== Ablation: DPA hysteresis width Δ (RAIR mean APL on "
+                 "the Fig. 12 scenarios; lower is better) ===\n\n");
+    TextTable t({"Δ", "mean APL (a)", "mean APL (b)", "combined"});
+    for (const double d : deltas) {
+      const CellRecord& ra = cells.at("d" + formatNum(d, 2) + "/a");
+      const CellRecord& rb = cells.at("d" + formatNum(d, 2) + "/b");
+      const auto row = t.addRow();
+      t.setNum(row, 0, d, 2);
+      t.setNum(row, 1, ra.meanApl);
+      t.setNum(row, 2, rb.meanApl);
+      t.setNum(row, 3, (ra.meanApl + rb.meanApl) / 2.0);
+    }
+    out += t.toString();
+    out += "\n";
+    appendf(out, "Paper reference: Δ in [0.1, 0.3] works well, best around "
+                 "0.2.\n");
+    return out;
+  };
+  return spec;
+}
+
+// ---- Ablation: regional vs global VC split (Sec. VI) ---------------------
+
+/// With 5 VCs per class (1 escape + 4 adaptive), sweeps the Global VC
+/// count from 1 to 3 for RAIR on the Fig. 14 six-app scenario against an
+/// RO_RR baseline; cells keyed "RO_RR" and "g<global VCs>".
+CampaignSpec buildAblVcSplit(BuildContext& ctx) {
+  const Fixture fx = makeFixture(6);
+  const auto rates = sixAppRates(ctx, fx, PatternKind::UniformRandom);
+  const std::vector<int> splits = {1, 2, 3};  // of 4 adaptive VCs per class
+
+  CampaignSpec spec;
+  spec.name = "abl_vcsplit";
+  spec.campaignSeed = ctx.campaignSeed;
+  auto addCell = [&](const std::string& key, const SchemeSpec& s,
+                     const SimConfig& cfg) {
+    CampaignCell cell;
+    cell.key = key;
+    cell.labels = {{"scheme", s.label}};
+    if (cfg.net.globalVcsPerClass >= 0)
+      cell.labels.emplace_back("global_vcs",
+                               std::to_string(cfg.net.globalVcsPerClass));
+    const auto mo = cellMetricsOptions(ctx.metrics, spec.name, cell.key);
+    cell.run = [fx, cfg, s, rates, mo](const CellContext& ctx) {
+      const auto apps = scenarios::sixAppMixed(PatternKind::UniformRandom,
+                                               rates);
+      return runCell(fx, cfg, s, apps, ctx, mo);
+    };
+    spec.add(std::move(cell));
+  };
+  addCell("RO_RR", schemeRoRr(), ctx.sim);
+  for (const int g : splits) {
+    SimConfig cfg = ctx.sim;
+    cfg.net.globalVcsPerClass = g;
+    addCell("g" + std::to_string(g), schemeRaRair(), cfg);
+  }
+
+  spec.renderTables = [splits](const CellLookup& cells) {
+    std::string out;
+    appendf(out, "\n=== Ablation: regional:global VC split (5 VCs/class = 1 "
+                 "escape + 4 adaptive; six-app UR scenario) ===\n\n");
+    const CellRecord& base = cells.at("RO_RR");
+    TextTable t({"regional:global", "RAIR mean APL", "reduction vs RO_RR"});
+    for (const int g : splits) {
+      const CellRecord& r = cells.at("g" + std::to_string(g));
+      const auto row = t.addRow();
+      t.set(row, 0, std::to_string(4 - g) + ":" + std::to_string(g));
+      t.setNum(row, 1, r.meanApl);
+      t.setPct(row, 2, r.meanReductionVs(base));
+    }
+    out += t.toString();
+    out += "\n";
+    appendf(out, "Paper reference: a roughly equal split (2:2) supports "
+                 "generic traffic best.\n");
+    return out;
+  };
+  return spec;
+}
+
+// ---- Substrate check: latency vs load per synthetic pattern --------------
+
+/// Not a paper figure: the standard sanity check (Dally & Towles ch. 23)
+/// that the substrate behaves like an on-chip network: flat low-load
+/// latency near the zero-load bound, a sharp knee, and the expected
+/// pattern ordering (BC saturates early, since every packet crosses the
+/// bisection; HS collapses onto four hot nodes). RO_RR on one chip-wide
+/// region; cells keyed "<pattern>/rate<r>", knees memoized as
+/// "abl_saturation/knee_<pattern>".
+CampaignSpec buildAblSaturation(BuildContext& ctx) {
+  const Fixture fx = makeFixture(1);
+  const std::vector<PatternKind> patterns = {
+      PatternKind::UniformRandom, PatternKind::Transpose,
+      PatternKind::BitComplement, PatternKind::Hotspot};
+  const std::vector<double> rates = {0.02, 0.05, 0.10, 0.15,
+                                     0.20, 0.25, 0.30, 0.35};
+  const auto shapeFor = [](PatternKind pat) {
+    AppTrafficSpec s;
+    s.app = 0;
+    s.intraFraction = 0.0;
+    s.interFraction = 1.0;  // chip-wide pattern traffic
+    s.interPattern = pat;
+    return s;
+  };
+
+  std::vector<double> knees;
+  for (const PatternKind pat : patterns) {
+    const std::string pname = patternName(pat);
+    knees.push_back(ctx.value("abl_saturation/knee_" + pname, [&] {
+      logTo(ctx, "calibrating the " + pname + " saturation knee...");
+      return appSaturationRate(*fx.mesh, *fx.regions, shapeFor(pat),
+                               ctx.sat);
+    }));
+  }
+
+  CampaignSpec spec;
+  spec.name = "abl_saturation";
+  spec.campaignSeed = ctx.campaignSeed;
+  SimConfig cfg = ctx.sim;
+  cfg.drainLimit = 60'000;  // saturated points need not fully drain
+  for (const PatternKind pat : patterns) {
+    for (const double rate : rates) {
+      const std::string pname = patternName(pat);
+      CampaignCell cell;
+      cell.key = pname + "/rate" + formatNum(rate, 2);
+      cell.labels = {{"pattern", pname}, {"rate", formatNum(rate, 2)}};
+      AppTrafficSpec app = shapeFor(pat);
+      app.injectionRate = rate;
+      const auto mo = cellMetricsOptions(ctx.metrics, spec.name, cell.key);
+      cell.run = [fx, cfg, app, mo](const CellContext& ctx) {
+        return runCell(fx, cfg, schemeRoRr(), {app}, ctx, mo);
+      };
+      spec.add(std::move(cell));
+    }
+  }
+
+  spec.renderTables = [patterns, rates, knees](const CellLookup& cells) {
+    std::string out;
+    appendf(out, "\n=== Substrate check: APL vs offered load per synthetic "
+                 "pattern ('sat' = run did not drain) ===\n\n");
+    std::vector<std::string> headers = {"rate"};
+    for (const PatternKind p : patterns) headers.emplace_back(patternName(p));
+    TextTable t(std::move(headers));
+    for (const double rate : rates) {
+      const auto row = t.addRow();
+      t.setNum(row, 0, rate, 2);
+      for (std::size_t i = 0; i < patterns.size(); ++i) {
+        const CellRecord& r = cells.at(std::string(patternName(patterns[i])) +
+                                       "/rate" + formatNum(rate, 2));
+        t.set(row, 1 + i, r.drained() ? formatNum(r.appApl[0], 1) : "sat");
+      }
+    }
+    out += t.toString();
+    out += "\n";
+    out += "Measured saturation knees (flits/cycle/node): ";
+    for (std::size_t i = 0; i < patterns.size(); ++i)
+      appendf(out, "%s=%.3f  ", patternName(patterns[i]), knees[i]);
+    appendf(out, "\nExpected ordering: HS << BC < TP < UR.\n");
     return out;
   };
   return spec;
@@ -770,9 +1100,16 @@ using Builder = CampaignSpec (*)(BuildContext&);
 
 const std::map<std::string, Builder>& builders() {
   static const std::map<std::string, Builder> map = {
-      {"fig09", &buildFig09},   {"fig10", &buildFig10},
-      {"fig12", &buildFig12},   {"fig14", &buildFig14},
-      {"fig15", &buildFig15},   {"abl_regions", &buildAblRegions},
+      {"fig09", &buildFig09},
+      {"fig10", &buildFig10},
+      {"fig12", &buildFig12},
+      {"fig14", &buildFig14},
+      {"fig15", &buildFig15},
+      {"fig17", &buildFig17},
+      {"abl_hysteresis", &buildAblHysteresis},
+      {"abl_vcsplit", &buildAblVcSplit},
+      {"abl_regions", &buildAblRegions},
+      {"abl_saturation", &buildAblSaturation},
       {"faults", &buildFaults},
   };
   return map;

@@ -1,7 +1,7 @@
-// Built-in campaigns: one per reproduced paper figure / ablation, built
-// from the exact workloads in scenarios/paper_scenarios.h. These are the
-// single source of truth for the scheme x load grids — both the
-// tools/rair_campaign CLI and the bench binaries build their grids here.
+// Built-in campaigns: one per reproduced paper figure / ablation (plus the
+// fault-resilience sweep), built from the exact workloads in
+// scenarios/. These are the only definition of the scheme x load grids;
+// tools/rair_campaign runs them and renders their tables.
 //
 // Building a campaign resolves the paper's "x% of saturation" loads via
 // empirical calibration (sim/saturation.h), which is the expensive

@@ -5,10 +5,13 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
+#include <map>
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
+#include "campaign/builtin.h"
 #include "campaign/store.h"
 #include "sim/scheme.h"
 
@@ -366,16 +369,67 @@ TEST(Runner, TripwiredCellIsRecordedNotFatal) {
   EXPECT_EQ(summary.records[1].cyclesRun, 123u);
 }
 
-TEST(LazyCampaign, MemoizesAndMatchesRunner) {
-  LazyCampaign lazy(smallSpec());
-  const CellRecord& first = lazy.cell("RO_RR/low");
-  const CellRecord& again = lazy.cell("RO_RR/low");
-  EXPECT_EQ(&first, &again);  // node-stable, computed once
+/// A build context whose calibration hook returns a constant, so building
+/// any built-in campaign simulates nothing.
+BuildContext stubBuildContext() {
+  BuildContext ctx = defaultBuildContext(/*fast=*/true);
+  ctx.value = [](const std::string&, const std::function<double()>&) {
+    return 0.1;
+  };
+  return ctx;
+}
 
-  RunnerOptions serial;
-  serial.jobs = 1;
-  const CampaignSummary summary = runCampaign(smallSpec(), serial);
-  EXPECT_EQ(first.toJsonLine(false), summary.records[0].toJsonLine(false));
+// Every built-in campaign builds its grid with the expected cell count and
+// unique keys, and renders its tables from a full set of records: a table
+// that names a key the grid lacks aborts here instead of after a run.
+TEST(BuiltinCampaigns, GridsAndTablesAreConsistent) {
+  const std::map<std::string, std::size_t> expectedCells = {
+      {"abl_hysteresis", 12}, {"abl_regions", 6}, {"abl_saturation", 32},
+      {"abl_vcsplit", 4},     {"faults", 14},     {"fig09", 15},
+      {"fig10", 20},          {"fig12", 8},       {"fig14", 4},
+      {"fig15", 16},          {"fig17", 8}};
+  std::vector<std::string> expectedNames;
+  for (const auto& [name, cells] : expectedCells) expectedNames.push_back(name);
+  ASSERT_EQ(builtinCampaignNames(), expectedNames);
+
+  for (const std::string& name : builtinCampaignNames()) {
+    SCOPED_TRACE(name);
+    BuildContext ctx = stubBuildContext();
+    const CampaignSpec spec = buildBuiltinCampaign(name, ctx);
+    EXPECT_EQ(spec.name, name);
+    EXPECT_EQ(spec.cells.size(), expectedCells.at(name));
+
+    std::set<std::string> keys;
+    std::vector<CellRecord> records;
+    for (const CampaignCell& cell : spec.cells) {
+      EXPECT_TRUE(keys.insert(cell.key).second) << cell.key;
+      EXPECT_TRUE(cell.run) << cell.key;
+      CellRecord r;
+      r.campaign = name;
+      r.key = cell.key;
+      r.labels = cell.labels;
+      r.termination = Termination::Drained;
+      r.appApl.assign(8, 20.0);
+      r.meanApl = 20.0;
+      records.push_back(std::move(r));
+    }
+    CellLookup lookup;
+    for (const CellRecord& r : records) lookup.insert(r);
+    ASSERT_TRUE(spec.renderTables);
+    EXPECT_FALSE(spec.renderTables(lookup).empty());
+  }
+}
+
+// fig17 cells run the PARSEC request/reply scenario on a simulator they
+// build themselves, so a campaign-wide fault plan cannot reach them; they
+// must refuse it rather than write fault-free records into a faulted
+// results file.
+TEST(BuiltinCampaignsDeathTest, Fig17RejectsACampaignFaultPlan) {
+  BuildContext ctx = stubBuildContext();
+  const CampaignSpec spec = buildBuiltinCampaign("fig17", ctx);
+  CellContext cc;
+  cc.faults.linkOutage(100, 0, Dir::East, 50);
+  EXPECT_DEATH(spec.cells.front().run(cc), "cannot take a fault plan");
 }
 
 TEST(Termination, NamesRoundTrip) {

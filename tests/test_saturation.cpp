@@ -5,7 +5,9 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <functional>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include "campaign/builtin.h"
@@ -176,6 +178,23 @@ TEST(SaturationEarlyVerdict, HalfSatIsBitIdenticalWithCeiling) {
 
 TEST(SaturationEarlyVerdict, PaperWindowHalfSatIsBitIdenticalWithCeiling) {
   EXPECT_EQ(halfSat(false), kHalfSatPaper);
+}
+
+// The fast-window Fig. 17 flood rate, as computed before its probes had
+// early verdicts (every probe simulated to completion).
+constexpr double kFig17AttackRateFast = 0.22308761784824604;
+
+TEST(SaturationEarlyVerdict, Fig17FloodRateIsBitIdenticalWithCeiling) {
+  campaign::BuildContext ctx = campaign::defaultBuildContext(true);
+  double flood = 0.0;
+  ctx.value = [&flood](const std::string& key,
+                       const std::function<double()>& fn) {
+    const double v = fn();
+    if (key == "fig17/attackRate") flood = v;
+    return v;
+  };
+  campaign::buildBuiltinCampaign("fig17", ctx);
+  EXPECT_EQ(flood, kFig17AttackRateFast);
 }
 
 // Fast-window fig12 scenario (a) rates — three low apps aimed at a high

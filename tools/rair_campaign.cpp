@@ -37,7 +37,7 @@ void usage(std::FILE* to) {
       "  --jobs N      worker threads (default: hardware concurrency)\n"
       "  --out FILE    JSON Lines results file (default: BENCH_<name>.json)\n"
       "  --seed N      campaign master seed (default: 1)\n"
-      "  --fast        5x-shrunk simulation windows (= RAIR_BENCH_FAST=1)\n"
+      "  --fast        5x-shrunk simulation windows\n"
       "  --fresh       discard an existing results file instead of resuming\n"
       "  --no-table    skip the paper-style table rendering\n"
       "  --metrics LEVEL\n"
@@ -220,7 +220,6 @@ int main(int argc, char** argv) {
   }
   if (args.out.empty()) args.out = "BENCH_" + args.name + ".json";
   if (args.fresh) std::remove(args.out.c_str());
-  if (std::getenv("RAIR_BENCH_FAST") != nullptr) args.fast = true;
 
   const auto logLine = [](const std::string& msg) {
     std::fprintf(stderr, "rair_campaign: %s\n", msg.c_str());

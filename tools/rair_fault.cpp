@@ -64,7 +64,7 @@ void usage(std::FILE* to) {
       "  --p N         inter-region percent of app 0's traffic (default 50)\n"
       "  --seed N      simulation seed (default 1); under --cell this is\n"
       "                the campaign master seed\n"
-      "  --fast        5x-shrunk windows (= RAIR_BENCH_FAST=1)\n"
+      "  --fast        5x-shrunk windows\n"
       "  --threads N   cycle-engine shards (default 0; 0 or 1: one shard\n"
       "                on the calling thread; results are byte-identical)\n"
       "  --link-layer KIND\n"
@@ -464,7 +464,6 @@ int main(int argc, char** argv) {
     usage(stderr);
     return 2;
   }
-  if (std::getenv("RAIR_BENCH_FAST") != nullptr) args.fast = true;
 
   SchemeSpec scheme;
   if (!findScheme(args.schemeName, scheme)) {
